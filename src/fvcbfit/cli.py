@@ -66,9 +66,11 @@ def _add_preprocess_flags(p):
     g.add_argument("--smooth-ci-threshold", type=float, default=600.0,
                    help="smooth only points with Ci above this")
     g.add_argument("--jump-up", type=float, default=0.06,
-                   help="relative rise flagged as an end spike")
+                   help="rise in A between neighbouring points (absolute, "
+                        "umol m-2 s-1) flagged as an end spike")
     g.add_argument("--jump-down", type=float, default=-0.06,
-                   help="relative drop flagged as an end spike")
+                   help="drop in A between neighbouring points (absolute, "
+                        "umol m-2 s-1, negative) flagged as an end spike")
     g.add_argument("--min-points-factor", type=int, default=3,
                    help="skip preprocessing below factor*window_len points")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -111,9 +112,12 @@ def _parse_float(cell: str, column: str, line: int) -> float:
     if not cell:
         raise ParseError(f"blank {column} cell", row=line)
     try:
-        return float(cell)
+        val = float(cell)
     except ValueError:
         raise ParseError(f"non-numeric {column} value {cell!r}", row=line) from None
+    if not math.isfinite(val):
+        raise ParseError(f"non-finite {column} value {cell!r}", row=line)
+    return val
 
 
 def _parse_int(cell: str, column: str, line: int) -> int:
@@ -129,9 +133,11 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     kind_overrides maps curve id -> CurveKind (or "co2"/"light") and
     replaces automatic classification for those curves.
 
-    Raises MissingColumn, ParseError (with the file line number) or
-    EmptyCurve. Rows violating the sanity bounds (Ci <= 0, Qin < 0,
-    Tleaf outside [-10, 60] C) are dropped with a warning.
+    Raises MissingColumn, ParseError (with the file line number: for a
+    row with fewer cells than the header, and for a blank, non-numeric
+    or non-finite cell) or EmptyCurve. Rows violating the sanity bounds
+    (Ci <= 0, Qin < 0, Tleaf outside [-10, 60] C) are dropped with a
+    warning.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -157,6 +163,9 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) < len(names):
+                raise ParseError(f"row has {len(row)} cells, the header "
+                                 f"has {len(names)} columns", row=line_no)
             cid = _parse_int(row[col["CurveID"]], "CurveID", line_no)
             grp = _parse_int(row[col["FittingGroup"]], "FittingGroup", line_no)
             ci = _parse_float(row[col["Ci"]], "Ci", line_no)

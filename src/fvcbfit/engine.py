@@ -1,33 +1,41 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A minimal tape: each Var wraps a float64 ndarray and remembers its
-parent Vars plus a vector-Jacobian hook that pushes a cotangent back to
-them. Only the operations the fitting objective needs are provided.
-Plain ndarrays and Python scalars mix freely with Vars and are treated
-as constants (no graph node, no gradient).
+Each Var wraps a float64 ndarray and a sequence number taken when it is
+created; a Var built from other Vars also keeps its parents and a
+vector-Jacobian product (VJP) that maps the cotangent of its value to
+one cotangent per parent. Parents are always older than their
+consumers, so creation order is a topological order: `backward` visits
+the nodes a root reads newest first, popping them from a heap keyed by
+that number. It is one reverse walk in creation order, with no
+recursion and no tables keyed by object identity; cotangents live on
+the nodes themselves.
 
-Kink conventions, fixed for determinism:
-  * minimum/maximum route the gradient entirely to the first argument
-    on ties;
+There are no generic arithmetic nodes. The model's composite functions
+(model.py, loss.py) compute their values once on plain ndarrays and,
+when an operand is a Var, record a single node through `fuse` with a
+hand-written VJP, the `torch.autograd.Function` pattern. Plain ndarrays
+and Python scalars are constants: no node, no gradient. Each VJP keeps
+the operation order of the plain chain it replaces, so a cotangent that
+several consumers feed is summed in a fixed order and the gradients are
+reproducible to the last bit.
+
+Kink conventions, fixed for determinism and kept by every fused VJP:
+  * min/max route the gradient entirely to the first argument on ties;
   * relu has zero subgradient exactly at 0;
   * sqrt has zero subgradient exactly at 0 (the clamp that feeds it
     makes the point unreachable with a live gradient).
-
-The module-level helpers (exp, log, sqrt, minimum, where, ...) accept
-either Vars or ndarrays and dispatch accordingly, so model formulas can
-be written once and evaluated both ways.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 import numpy as np
 
-__all__ = [
-    "Var", "value", "backward", "grad",
-    "exp", "log", "sqrt", "sigmoid", "relu",
-    "minimum", "maximum", "where",
-    "gather", "segment_sum", "vsum", "detach",
-]
+__all__ = ["Var", "value", "fuse", "backward", "grad", "sigmoid", "gather"]
+
+_created = itertools.count()
 
 
 def value(x):
@@ -39,8 +47,6 @@ def value(x):
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     # Reduce a cotangent back to the shape of the operand it belongs to.
-    if g.shape == shape:
-        return g
     if shape == ():
         return np.asarray(g.sum())
     while g.ndim > len(shape):
@@ -52,18 +58,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Var:
-    """Graph node: value, parent nodes, and a vector-Jacobian product."""
+    """Graph node: value, parents, a VJP, its cotangent slot and its
+    creation sequence number."""
 
-    __slots__ = ("v", "parents", "vjp")
+    __slots__ = ("v", "parents", "vjp", "g", "seq")
 
     # keep numpy from absorbing `ndarray <op> Var` into a ufunc over an
-    # object array; returning NotImplemented routes it to __radd__ etc.
+    # object array
     __array_ufunc__ = None
 
     def __init__(self, val, parents=(), vjp=None):
         self.v = np.asarray(val, dtype=np.float64)
         self.parents = parents
         self.vjp = vjp
+        self.g = None
+        self.seq = next(_created)
 
     @property
     def shape(self):
@@ -75,129 +84,74 @@ class Var:
     def __repr__(self):
         return f"Var({self.v!r})"
 
-    # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        return _add(self, other)
+def fuse(out, inputs, vjp):
+    """`out` as one graph node over the Vars among `inputs`.
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _sub(self, other)
-
-    def __rsub__(self, other):
-        return _sub(other, self)
-
-    def __mul__(self, other):
-        return _mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _div(self, other)
-
-    def __rtruediv__(self, other):
-        return _div(other, self)
-
-    def __neg__(self):
-        return _mul(self, -1.0)
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only constant exponents are supported")
-        return _powc(self, float(p))
+    vjp(g) returns one cotangent per entry of `inputs`, None where no
+    gradient flows; entries for constant inputs are never read, so a
+    VJP may skip computing them. An input listed more than once gets
+    its cotangents summed in list order. With no Var among the inputs,
+    `out` comes back unchanged.
+    """
+    live = [isinstance(x, Var) for x in inputs]
+    if not any(live):
+        return out
+    parents = tuple(x for x, keep in zip(inputs, live) if keep)
+    if len(parents) == len(inputs):
+        return Var(out, parents, vjp)
+    return Var(out, parents,
+               lambda g: [c for c, keep in zip(vjp(g), live) if keep])
 
 
-def _lift(x):
-    # (value, var-or-None) pair for an operand that may be a constant.
-    if isinstance(x, Var):
-        return x.v, x
-    return np.asarray(x, dtype=np.float64), None
+def backward(root: Var) -> list:
+    """Push the cotangent of a scalar root back to every node it reads.
+
+    Nodes are visited newest first, so each one has received the
+    cotangents of all its consumers, summed in the order those consumers
+    were visited, before its own VJP runs. Interior cotangents are
+    dropped once pushed; the gradient of each leaf reached is left in
+    its `.g`, and the leaves come back in the order they were reached.
+    The caller resets their `.g` to None.
+    """
+    root.g = np.ones_like(root.v)
+    todo = [(-root.seq, root)]
+    leaves = []
+    try:
+        while todo:
+            node = heapq.heappop(todo)[1]
+            if node.vjp is None:
+                leaves.append(node)
+                continue
+            g, node.g = node.g, None
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if pg is None:
+                    continue
+                if pg.shape != parent.v.shape:
+                    pg = _unbroadcast(pg, parent.v.shape)
+                if parent.g is None:
+                    parent.g = pg
+                    heapq.heappush(todo, (-parent.seq, parent))
+                else:
+                    parent.g = parent.g + pg
+    except BaseException:
+        for node in leaves + [item[1] for item in todo]:
+            node.g = None
+        raise
+    return leaves
 
 
-def _node(out, a_var, b_var, da, db):
-    # Build a binary node; da/db map the incoming cotangent to each
-    # parent's shape. Constant operands contribute no parent.
-    parents = []
-    hooks = []
-    if a_var is not None:
-        parents.append(a_var)
-        hooks.append(da)
-    if b_var is not None:
-        parents.append(b_var)
-        hooks.append(db)
+def grad(root: Var, leaves) -> list[np.ndarray]:
+    """Gradients of a scalar root with respect to each leaf Var.
 
-    def vjp(g):
-        return tuple(h(g) for h in hooks)
-
-    return Var(out, tuple(parents), vjp)
-
-
-def _add(a, b):
-    av, an = _lift(a)
-    bv, bn = _lift(b)
-    return _node(av + bv,
-                 an, bn,
-                 lambda g: _unbroadcast(g, av.shape),
-                 lambda g: _unbroadcast(g, bv.shape))
-
-
-def _sub(a, b):
-    av, an = _lift(a)
-    bv, bn = _lift(b)
-    return _node(av - bv,
-                 an, bn,
-                 lambda g: _unbroadcast(g, av.shape),
-                 lambda g: _unbroadcast(-g, bv.shape))
-
-
-def _mul(a, b):
-    av, an = _lift(a)
-    bv, bn = _lift(b)
-    return _node(av * bv,
-                 an, bn,
-                 lambda g: _unbroadcast(g * bv, av.shape),
-                 lambda g: _unbroadcast(g * av, bv.shape))
-
-
-def _div(a, b):
-    av, an = _lift(a)
-    bv, bn = _lift(b)
-    out = av / bv
-    return _node(out,
-                 an, bn,
-                 lambda g: _unbroadcast(g / bv, av.shape),
-                 lambda g: _unbroadcast(-g * out / bv, bv.shape))
-
-
-def _powc(a, p: float):
-    av, an = _lift(a)
-    out = av ** p
-    return _node(out, an, None,
-                 lambda g: _unbroadcast(g * p * av ** (p - 1.0), av.shape),
-                 None)
-
-
-def exp(x):
-    if not isinstance(x, Var):
-        return np.exp(x)
-    out = np.exp(x.v)
-    return Var(out, (x,), lambda g: (g * out,))
-
-
-def log(x):
-    if not isinstance(x, Var):
-        return np.log(x)
-    return Var(np.log(x.v), (x,), lambda g: (g / x.v,))
-
-
-def sqrt(x):
-    if not isinstance(x, Var):
-        return np.sqrt(x)
-    out = np.sqrt(x.v)
-    # zero subgradient where the argument is exactly 0
-    safe = np.where(out > 0.0, out, 1.0)
-    return Var(out, (x,), lambda g: (np.where(out > 0.0, 0.5 * g / safe, 0.0),))
+    Leaves not reachable from the root get zeros of their shape.
+    """
+    reached = backward(root)
+    out = [np.zeros_like(leaf.v) if leaf.g is None else leaf.g
+           for leaf in leaves]
+    for leaf in reached:
+        leaf.g = None
+    return out
 
 
 def _expit(v):
@@ -207,139 +161,15 @@ def _expit(v):
 
 
 def sigmoid(x):
-    if not isinstance(x, Var):
-        return _expit(np.asarray(x, dtype=np.float64))
-    out = _expit(x.v)
-    return Var(out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
-def relu(x):
-    if not isinstance(x, Var):
-        xv = np.asarray(x, dtype=np.float64)
-        return np.where(xv > 0.0, xv, 0.0)
-    mask = x.v > 0.0
-    return Var(np.where(mask, x.v, 0.0), (x,), lambda g: (g * mask,))
-
-
-def minimum(a, b):
-    # tie -> first argument takes the gradient
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return np.minimum(a, b)
-    av, an = _lift(a)
-    bv, bn = _lift(b)
-    take_a = av <= bv
-    return _node(np.where(take_a, av, bv),
-                 an, bn,
-                 lambda g: _unbroadcast(g * take_a, av.shape),
-                 lambda g: _unbroadcast(g * ~take_a, bv.shape))
-
-
-def maximum(a, b):
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return np.maximum(a, b)
-    av, an = _lift(a)
-    bv, bn = _lift(b)
-    take_a = av >= bv
-    return _node(np.where(take_a, av, bv),
-                 an, bn,
-                 lambda g: _unbroadcast(g * take_a, av.shape),
-                 lambda g: _unbroadcast(g * ~take_a, bv.shape))
-
-
-def where(cond, a, b):
-    """Elementwise select; cond is a plain boolean array, never a Var."""
-    cond = np.asarray(cond, dtype=bool)
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return np.where(cond, a, b)
-    av, an = _lift(a)
-    bv, bn = _lift(b)
-    return _node(np.where(cond, av, bv),
-                 an, bn,
-                 lambda g: _unbroadcast(g * cond, av.shape),
-                 lambda g: _unbroadcast(g * ~cond, bv.shape))
+    """Logistic function, overflow-free for any argument."""
+    out = _expit(value(x))
+    return fuse(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def gather(x, idx):
     """x[idx] for a Var or ndarray; scatter-adds on the way back."""
     idx = np.asarray(idx, dtype=np.intp)
-    if not isinstance(x, Var):
-        return np.asarray(x, dtype=np.float64)[idx]
-    n = x.v.shape[0]
-    return Var(x.v[idx], (x,),
-               lambda g: (np.bincount(idx, weights=g, minlength=n),))
-
-
-def segment_sum(x, starts, lengths):
-    """Sum contiguous segments: result[i] = sum(x[starts[i]:starts[i]+lengths[i]]).
-
-    Segments must be non-empty and tile the array in order.
-    """
-    starts = np.asarray(starts, dtype=np.intp)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if not isinstance(x, Var):
-        return np.add.reduceat(np.asarray(x, dtype=np.float64), starts)
-    out = np.add.reduceat(x.v, starts)
-    return Var(out, (x,), lambda g: (np.repeat(g, lengths),))
-
-
-def vsum(x):
-    """Total sum to a 0-d scalar."""
-    if not isinstance(x, Var):
-        return np.asarray(x, dtype=np.float64).sum()
-    shape = x.v.shape
-    return Var(x.v.sum(), (x,), lambda g: (np.broadcast_to(g, shape),))
-
-
-def detach(x):
-    """Same value, no gradient path."""
-    if isinstance(x, Var):
-        return Var(x.v)
-    return np.asarray(x, dtype=np.float64)
-
-
-def backward(root: Var) -> dict[int, np.ndarray]:
-    """Cotangents of every reachable node with respect to a scalar root.
-
-    Returns a mapping id(node) -> gradient array. The caller keeps the
-    leaf Vars alive, so the ids are stable for the duration of the call.
-    """
-    order: list[Var] = []
-    seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.v)}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node.vjp is None:
-            continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
-            if pg is None:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
-    return grads
-
-
-def grad(root: Var, leaves) -> list[np.ndarray]:
-    """Gradients of a scalar root with respect to each leaf Var.
-
-    Leaves not reachable from the root get zeros of their shape.
-    """
-    table = backward(root)
-    out = []
-    for leaf in leaves:
-        g = table.get(id(leaf))
-        out.append(np.zeros_like(leaf.v) if g is None else g)
-    return out
+    xv = value(x)
+    n = xv.shape[0]
+    return fuse(xv[idx], (x,),
+                lambda g: (np.bincount(idx, weights=g, minlength=n),))

@@ -13,7 +13,9 @@ total = MSE over all retained points (one global n)
 The standalone penalty functions below operate on plain numpy series
 and define the reference semantics; the batched evaluator `total_loss`
 computes the same quantities vectorized across curves, and doubles as
-the gradient graph builder when handed autodiff leaves.
+the gradient graph builder when handed autodiff leaves. In that graph
+the penalty block is one node and the prediction, its residual, the
+MSE and the total are another; each has a hand-written VJP.
 
 A_p handling: where Wp is undefined (C below the (1+3*alpha_g)*Gamma*
 pole) the point is treated as non-limiting, i.e. it cannot trigger the
@@ -30,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
 from .data_io import CurveKind, Dataset
-from .engine import Var, detach, gather, maximum, minimum, relu, segment_sum, \
-    sigmoid, vsum, where
+from .engine import Var, fuse, gather, sigmoid, value
 from .errors import DegenerateSeries, FvcbError, LengthMismatch, NonPositiveC
 from .metrics import pearson_r
 from .model import arrhenius, electron_transport, limitation_rates, \
@@ -151,11 +151,11 @@ class Workspace:
     gradients are invariant to permutations of the input.
     """
 
-    __slots__ = ("ci", "a", "qin", "tk", "tfac", "pt_entry", "pt_group",
+    __slots__ = ("ci", "a", "qin", "tk", "pt_entry", "pt_group",
                  "seg_starts", "seg_lengths", "last_flat", "is_light",
                  "light_pt", "any_light", "light_only", "curve_ids",
                  "curve_entry", "curve_group", "n_points", "n_curves",
-                 "co2_curves", "corr_groups", "orig_index")
+                 "co2_curves", "corr_groups", "orig_index", "pos")
 
     def __init__(self, dataset: Dataset, params: ParameterState):
         by_id = {c.curve_id: c for c in dataset.curves}
@@ -185,7 +185,6 @@ class Workspace:
         self.a = np.concatenate(a)
         self.qin = np.concatenate(qin)
         self.tk = np.concatenate(tl) + 273.15
-        self.tfac = 1.0 / 298.0 - 1.0 / self.tk
         self.pt_entry = np.concatenate(pt_entry)
         self.pt_group = np.concatenate(pt_group)
         self.seg_starts = np.asarray(starts, dtype=np.intp)
@@ -199,6 +198,7 @@ class Workspace:
         self.curve_entry = params.entry_of
         self.curve_group = params.group_of
         self.n_points = int(self.ci.shape[0])
+        self.pos = np.arange(self.n_points)
         self.n_curves = len(params.curve_ids)
         self.co2_curves = np.flatnonzero(~self.is_light)
         self.orig_index = orig
@@ -209,6 +209,186 @@ class Workspace:
                 entries = params.entry_of[params.group_of == gi]
                 if entries.shape[0] >= MIN_CURVES_FOR_R:
                     self.corr_groups.append((gi, entries.copy()))
+
+
+def _site_co2(ci, a, gm):
+    """C = Ci - A/g_m, one node when g_m is a Var."""
+    gv = value(gm)
+    q = a / gv
+    return fuse(ci - q, (gm,), lambda g: (g * q / gv,))
+
+
+def _gamma_factor(gamma, c):
+    """The photorespiratory factor 1 - Gamma*/C."""
+    gv, cv = value(gamma), value(c)
+    q = gv / cv
+    return fuse(1.0 - q, (gamma, c), lambda g: (-g / cv, g * q / cv))
+
+
+def _gather_sigmoid(raw, idx):
+    """sigmoid(raw)[idx]: the logistic taken per group, its VJP per point."""
+    rv = value(raw)
+    out = sigmoid(rv)[idx]
+    return fuse(out, (raw,), lambda g: (
+        np.bincount(idx, weights=g * out * (1.0 - out), minlength=rv.shape[0]),))
+
+
+def _relu(x):
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _segment_argmin(x, ws: Workspace) -> np.ndarray:
+    """np.argmin of each curve's segment of x, as flat indices.
+
+    The first index wins ties, and a NaN counts as the minimum.
+    """
+    low = np.repeat(np.minimum.reduceat(x, ws.seg_starts), ws.seg_lengths)
+    hit = (x <= low) | np.isnan(x)
+    return np.minimum.reduceat(np.where(hit, ws.pos, ws.n_points),
+                               ws.seg_starts)
+
+
+def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
+               vcmax25, jmax25, nonneg):
+    """The penalty block as one node.
+
+    Its value is [p_cjp, p_c_gt_j, p_c_lt_j, p_j_lt_p, p_corr,
+    p_nonneg]. It reads the rates through A_x = W_x * fac - rd; nonneg
+    lists the fitted scalars whose negative part is penalized.
+    """
+    wc, wj, wp = value(rates)
+    fv, rv = value(fac), value(rd)
+    aj = wj * fv - rv
+    ac = wc * fv - rv
+    d = ac - aj
+    co2 = ws.co2_curves
+    n = ws.n_points
+    p_cjp = p_tpu = p_corr = p_nn = 0.0
+
+    def a_p(idx):
+        # A_p is read at a few points only
+        return wp[idx] * fv[idx] - rv[idx]
+
+    if co2.shape[0]:
+        # ordering penalty at the closest A_c/A_j point of each curve
+        jc = _segment_argmin(np.abs(d), ws)[co2]
+        ajj, acj = aj[jc], ac[jc]
+        take_j = ajj >= acj
+        z_cjp = np.where(take_j, ajj, acj) - np.where(valid[jc], a_p(jc), _BIG)
+        p_cjp = _relu(z_cjp).sum()
+
+    nd = 0.0 - d
+    pos_d, pos_nd = d > 0.0, nd > 0.0
+    z_gt = config.beta - np.add.reduceat(np.where(pos_d, d, 0.0),
+                                         ws.seg_starts)
+    z_lt = config.beta - np.add.reduceat(np.where(pos_nd, nd, 0.0),
+                                         ws.seg_starts)
+    p_cgj = _relu(z_gt).sum()
+    p_clj = _relu(z_lt).sum()
+
+    tpu_on = config.tpu_penalty and co2.shape[0]
+    if tpu_on:
+        last = ws.last_flat[co2]
+        ok = valid[last].astype(np.float64)
+        z_tpu = a_p(last) - aj[last]
+        p_tpu = (_relu(z_tpu) * ok).sum()
+
+    corr = []
+    if vcmax25 is not None:
+        xs, ys = value(vcmax25), value(jmax25)
+        for _, entries in ws.corr_groups:
+            x, y = xs[entries], ys[entries]
+            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                continue  # undefined correlation; penalty skipped
+            m = float(entries.shape[0])
+            xc = x - x.sum() / m
+            yc = y - y.sum() / m
+            sxx, syy = (xc * xc).sum(), (yc * yc).sum()
+            den = np.sqrt(sxx * syy)
+            r = (xc * yc).sum() / den
+            p_corr = p_corr + _relu(0.7 - r)
+            corr.append((entries, m, xc, yc, sxx, syy, den, r))
+
+    for term in nonneg:
+        p_nn = p_nn + _relu(0.0 - value(term)).sum()
+
+    pens = np.array([p_cjp, p_cgj, p_clj, p_tpu, p_corr, p_nn])
+
+    def vjp(g):
+        # d <- (relu(d), relu(0 - d)) through the per-curve margin sums
+        g_d = (np.repeat(-(g[1] * (z_gt > 0.0)), ws.seg_lengths) * pos_d
+               - np.repeat(-(g[2] * (z_lt > 0.0)), ws.seg_lengths) * pos_nd)
+        # A_j <- (closest-point max, d, last point); A_c <- (max, d);
+        # A_p <- (closest point, last point)
+        g_aj = -g_d
+        g_ac = g_d.copy()
+        g_ap = np.zeros(n)
+        if co2.shape[0]:
+            g_hi = g[0] * (z_cjp > 0.0)
+            g_aj[jc] += g_hi * take_j
+            g_ac[jc] += g_hi * ~take_j
+            g_ap[jc] = -g_hi * valid[jc]
+        if tpu_on:
+            g_last = g[3] * ok * (z_tpu > 0.0)
+            g_aj[last] += -g_last
+            g_ap[last] += g_last
+        g_rates = np.empty((3, n))
+        g_rates[0], g_rates[1], g_rates[2] = g_ac * fv, g_aj * fv, g_ap * fv
+        g_fac = [None] * 3
+        if isinstance(fac, Var):
+            g_fac = [g_ac * wc, g_ap * wp, g_aj * wj]
+        g_x = g_y = None
+        if corr:
+            g_x, g_y = np.zeros(xs.shape[0]), np.zeros(ys.shape[0])
+        for entries, m, xc, yc, sxx, syy, den, r in corr:
+            g_r = -(g[4] * (0.7 - r > 0.0))
+            g_num = g_r / den
+            g_prod = 0.5 * (-g_r * r / den) / den if den > 0.0 else 0.0
+            for out, a, b, g_aa in ((g_x, xc, yc, g_prod * syy),
+                                    (g_y, yc, xc, g_prod * sxx)):
+                g_a = g_num * b + g_aa * a + g_aa * a
+                out[entries] = g_a + (-g_a).sum() / m
+        return ([g_rates, -g_ac, -g_ap, -g_aj] + g_fac + [g_x, g_y]
+                + [-(g[5] * (0.0 - value(t) > 0.0)) for t in nonneg])
+
+    return fuse(pens, [rates, rd, rd, rd, fac, fac, fac, vcmax25, jmax25]
+                + list(nonneg), vjp)
+
+
+def _objective(ws: Workspace, rates, fac, rd, pens):
+    """The MSE of A = min(Wc, Wj, Wp) * fac - rd plus the penalties.
+
+    One node; returns (total, mse, pred). On light-response curves Wp
+    takes part in the minimum but receives no gradient.
+    """
+    wc, wj, wp = value(rates)
+    fv, rv = value(fac), value(rd)
+    take_c = wc <= wj
+    wcj = np.where(take_c, wc, wj)
+    take_cj = wcj <= wp
+    w = np.where(take_cj, wcj, wp)
+    pred = w * fv - rv
+    resid = pred - ws.a
+    n = float(ws.n_points)
+    mse = (resid * resid).sum() / n
+    p = value(pens)
+    total = mse + p[0] + p[1] + p[2] + p[3] + p[4] + p[5]
+
+    def vjp(g):
+        t = g / n * resid
+        g_pred = t + t
+        g_w = g_pred * fv
+        g_wcj = g_w * take_cj
+        g_rates = np.empty((3, ws.n_points))
+        g_rates[0] = g_wcj * take_c
+        g_rates[1] = g_wcj * ~take_c
+        g_rates[2] = g_w * ~take_cj
+        if ws.any_light:
+            g_rates[2] *= ~ws.light_pt
+        g_fac = g_pred * w if isinstance(fac, Var) else None
+        return g_rates, g_fac, -g_pred, np.broadcast_to(g, (6,))
+
+    return fuse(total, (rates, fac, rd, pens), vjp), mse, pred
 
 
 def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
@@ -237,20 +417,21 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
     kc = gather(P("kc25"), ws.pt_group)
     ko = gather(P("ko25"), ws.pt_group)
     gamma = gather(P("gamma25"), ws.pt_group)
-    ag = sigmoid(gather(P("alpha_g_raw"), ws.pt_group))
+    ag = _gather_sigmoid(P("alpha_g_raw"), ws.pt_group)
 
     c = ws.ci
     if config.fit_gm:
-        c = c - ws.a / gather(P("gm"), ws.pt_group)
-        if np.any(engine.value(c) <= 0.0):
+        c = _site_co2(ws.ci, ws.a, gather(P("gm"), ws.pt_group))
+        if np.any(value(c) <= 0.0):
             raise NonPositiveC("C_i - A/g_m went non-positive")
 
     if config.temp_type >= 1:
-        # fixed activation energies give constant scale factors
-        rd = rd * np.exp((cn.dha_rd / r_gas) * ws.tfac)
-        kc = kc * np.exp((cn.dha_kc / r_gas) * ws.tfac)
-        ko = ko * np.exp((cn.dha_ko / r_gas) * ws.tfac)
-        gamma = gamma * np.exp((cn.dha_gamma / r_gas) * ws.tfac)
+        # Rd and the kinetic constants follow plain Arrhenius with fixed
+        # activation energies
+        rd = arrhenius(rd, cn.dha_rd, ws.tk, r_gas)
+        kc = arrhenius(kc, cn.dha_kc, ws.tk, r_gas)
+        ko = arrhenius(ko, cn.dha_ko, ws.tk, r_gas)
+        gamma = arrhenius(gamma, cn.dha_gamma, ws.tk, r_gas)
     if config.temp_type == 1:
         ve = arrhenius(ve, gather(P("dha_vcmax"), ws.pt_group), ws.tk, r_gas)
         je = arrhenius(je, gather(P("dha_jmax"), ws.pt_group), ws.tk, r_gas)
@@ -273,99 +454,42 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
                                gather(P("theta"), ws.pt_group),
                                config.light_type)
 
-    wc, wj, wp, valid = limitation_rates(c, ve, j, te, gamma, kc, ko,
-                                         cn.o2, ag, big=_BIG)
-    # light-response curves: Wp participates in the forward minimum but
-    # its gradient is frozen
-    wp_eff = wp
-    if ws.any_light and isinstance(wp, Var):
-        wp_eff = where(ws.light_pt, detach(wp), wp)
+    rates, valid = limitation_rates(c, ve, j, te, gamma, kc, ko, cn.o2, ag,
+                                    big=_BIG)
+    fac = _gamma_factor(gamma, c)
 
-    w = minimum(minimum(wc, wj), wp_eff)
-    fac = 1.0 - gamma / c
-    pred = w * fac - rd
-    resid = pred - ws.a
-    mse_term = vsum(resid * resid) / float(ws.n_points)
-
-    aj = wj * fac - rd
-    ac = wc * fac - rd
-    ap = wp * fac - rd
-
-    aj_v = engine.value(aj)
-    ac_v = engine.value(ac)
-    ap_v = engine.value(ap)
-    gap_last = np.where(valid[ws.last_flat],
-                        ap_v[ws.last_flat] - aj_v[ws.last_flat], np.nan)
-    aux = {
-        "tpu_gap": gap_last,
-        "tpu_valid": valid[ws.last_flat] & ~ws.is_light,
-        "pred": engine.value(pred),
-    }
-
-    zero = 0.0
-    p_cjp = p_cgj = p_clj = p_tpu = p_corr = p_nn = zero
-
+    pens = np.zeros(6)
     if config.penalties:
-        co2 = ws.co2_curves
-        if co2.shape[0]:
-            # ordering penalty at the closest A_c/A_j point of each curve
-            gapcj = np.abs(aj_v - ac_v)
-            jc = np.empty(co2.shape[0], dtype=np.intp)
-            for k, ic in enumerate(co2):
-                s = ws.seg_starts[ic]
-                jc[k] = s + int(np.argmin(gapcj[s:s + ws.seg_lengths[ic]]))
-            ap_pen = where(valid, ap, _BIG) if isinstance(ap, Var) \
-                else np.where(valid, ap_v, _BIG)
-            hi = maximum(gather(aj, jc), gather(ac, jc))
-            p_cjp = vsum(relu(hi - gather(ap_pen, jc)))
-
-        d = ac - aj
-        s_pos = segment_sum(relu(d), ws.seg_starts, ws.seg_lengths)
-        s_neg = segment_sum(relu(0.0 - d), ws.seg_starts, ws.seg_lengths)
-        p_cgj = vsum(relu(config.beta - s_pos))
-        p_clj = vsum(relu(config.beta - s_neg))
-
-        if config.tpu_penalty and co2.shape[0]:
-            last = ws.last_flat[co2]
-            ok = (valid[last]).astype(np.float64)
-            p_tpu = vsum(relu(gather(ap, last) - gather(aj, last)) * ok)
-
-        if config.r_penalty and ws.corr_groups:
-            for _, entries in ws.corr_groups:
-                x = gather(P("vcmax25"), entries)
-                y = gather(P("jmax25"), entries)
-                xv, yv = engine.value(x), engine.value(y)
-                if np.ptp(xv) == 0.0 or np.ptp(yv) == 0.0:
-                    continue  # undefined correlation; penalty skipped
-                m = float(entries.shape[0])
-                xc = x - vsum(x) / m
-                yc = y - vsum(y) / m
-                r = vsum(xc * yc) / engine.sqrt(vsum(xc * xc) * vsum(yc * yc))
-                p_corr = p_corr + relu(0.7 - r)
-
         # only parameters the configuration actually fits are penalized
         eligible = set(fitted) if fitted \
             else set(fitted_fields(config, ws.light_only))
-        nn_terms = []
+        nonneg = []
         if config.positive_rd and "rd25" in eligible:
-            nn_terms.append(P("rd25"))
+            nonneg.append(P("rd25"))
         for name in ("dha_vcmax", "dha_jmax", "dha_tpu", "alpha", "theta"):
             if name in eligible:
-                nn_terms.append(P(name))
-        for term in nn_terms:
-            p_nn = p_nn + vsum(relu(0.0 - term))
+                nonneg.append(P(name))
+        # created before the objective, so the backward walk reaches the
+        # objective first: rd and fac then sum their cotangents in the
+        # order pred, A_c, A_p, A_j
+        corr = config.r_penalty and ws.corr_groups
+        pens = _penalties(ws, config, rates, valid, fac, rd,
+                          P("vcmax25") if corr else None,
+                          P("jmax25") if corr else None, nonneg)
+    total, mse_value, pred = _objective(ws, rates, fac, rd, pens)
 
-    total = mse_term + p_cjp + p_cgj + p_clj + p_tpu + p_corr + p_nn
+    lf = ws.last_flat
+    w_last = value(rates)[:, lf] * value(fac)[lf] - value(rd)[lf]
+    p = value(pens)
+    aux = {
+        "tpu_gap": np.where(valid[lf], w_last[2] - w_last[1], np.nan),
+        "tpu_valid": valid[lf] & ~ws.is_light,
+        "pred": pred,
+    }
     breakdown = LossBreakdown(
-        mse=float(engine.value(mse_term)),
-        p_cjp=float(engine.value(p_cjp)),
-        p_c_gt_j=float(engine.value(p_cgj)),
-        p_c_lt_j=float(engine.value(p_clj)),
-        p_j_lt_p=float(engine.value(p_tpu)),
-        p_corr=float(engine.value(p_corr)),
-        p_nonneg=float(engine.value(p_nn)),
-        total=float(engine.value(total)),
-    )
+        mse=float(mse_value), p_cjp=float(p[0]), p_c_gt_j=float(p[1]),
+        p_c_lt_j=float(p[2]), p_j_lt_p=float(p[3]), p_corr=float(p[4]),
+        p_nonneg=float(p[5]), total=float(value(total)))
     return total, breakdown, leaves, aux
 
 

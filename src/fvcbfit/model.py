@@ -14,7 +14,10 @@ glycolate-export term alpha_g in Wp.
 
 Every function here is pure and accepts either plain numpy arrays or
 autodiff Vars for the parameter arguments, so the same code serves
-forward prediction and gradient evaluation.
+forward prediction and gradient evaluation. Each computes its value
+once on ndarrays; when an operand is a Var it returns a single graph
+node whose vector-Jacobian product is written out by hand, in the
+operation order of the formula it differentiates.
 
 References
 ----------
@@ -32,9 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine
 from .constants import R_GAS, T_REF
-from .engine import exp, log, sqrt, relu, sigmoid, where
+from .engine import Var, fuse, sigmoid, value
 from .errors import DomainError, NonPositiveC
 
 __all__ = [
@@ -56,31 +58,65 @@ def arrhenius(k25, dha, tleaf, r_gas: float = R_GAS):
     Returns k25 * exp[(dha/R) * (1/298 - 1/tleaf)]; monotone increasing
     in tleaf for positive dha.
     """
-    return k25 * exp((dha / r_gas) * (1.0 / T_REF - 1.0 / tleaf))
+    k, h = value(k25), value(dha)
+    tf = 1.0 / T_REF - 1.0 / tleaf
+    e = np.exp((h / r_gas) * tf)
 
+    def vjp(g):
+        gh = None
+        if isinstance(dha, Var):
+            gh = (g * k) * e * tf / r_gas
+        return g * e, gh
 
-def _peak_factor(dha, dhd, topt, t, r_gas):
-    # f(T) = 1 + exp[(dhd/R)(1/Topt - 1/T) - ln(dhd/dha - 1)]
-    return 1.0 + exp((dhd / r_gas) * (1.0 / topt - 1.0 / t) - log(dhd / dha - 1.0))
+    return fuse(k * e, (k25, dha), vjp)
 
 
 def peaked_arrhenius(k25, dha, dhd, topt, tleaf, r_gas: float = R_GAS):
     """Peaked Arrhenius response with deactivation above an optimum.
 
-    The plain Arrhenius rise is damped by f(298)/f(tleaf) so the
+    The plain Arrhenius rise is damped by f(298)/f(tleaf), with
+    f(T) = 1 + exp[(dhd/R)(1/Topt - 1/T) - ln(dhd/dha - 1)], so the
     response attains its maximum exactly at tleaf = topt and returns
-    k25 at the 25 C reference.
+    k25 at the 25 C reference. dhd is a constant.
 
     Raises DomainError unless dhd > dha > 0 (the log argument must be
     positive).
     """
-    dha_v = engine.value(dha)
-    dhd_v = engine.value(dhd)
-    if np.any(dha_v <= 0.0) or np.any(dhd_v <= dha_v):
+    k, h, to = value(k25), value(dha), value(topt)
+    if np.any(h <= 0.0) or np.any(dhd <= h):
         raise DomainError("peaked response requires dhd > dha > 0")
-    ref = _peak_factor(dha, dhd, topt, T_REF, r_gas)
-    at_t = _peak_factor(dha, dhd, topt, tleaf, r_gas)
-    return arrhenius(k25, dha, tleaf, r_gas) * ref / at_t
+    tf = 1.0 / T_REF - 1.0 / tleaf
+    e = np.exp((h / r_gas) * tf)
+    arr = k * e
+    w = dhd / h
+    u = w - 1.0
+    lg = np.log(u)
+    inv = 1.0 / to
+    cd = dhd / r_gas
+    e_ref = np.exp(cd * (inv - 1.0 / T_REF) - lg)
+    e_t = np.exp(cd * (inv - 1.0 / tleaf) - lg)
+    ref = 1.0 + e_ref
+    at_t = 1.0 + e_t
+    out = arr * ref / at_t
+
+    def vjp(g):
+        g_m = g / at_t
+        g_arr = g_m * ref
+        gh = gt = None
+        if isinstance(dha, Var):
+            gh = (g_arr * k) * e * tf / r_gas
+        # f(298) then f(tleaf): each reaches dha through ln(dhd/dha - 1)
+        # and topt through 1/topt
+        for gf, ef in ((g_m * arr, e_ref), (-g * out / at_t, e_t)):
+            gz = gf * ef
+            if gh is not None:
+                gh = gh + gz / u * w / h
+            if isinstance(topt, Var):
+                gi = -(gz * cd) * inv / to
+                gt = gi if gt is None else gt + gi
+        return g_arr * e, gh, gt
+
+    return fuse(out, (k25, dha, topt), vjp)
 
 
 def topt_from_entropy(ds, dha, dhd, r_gas: float = R_GAS):
@@ -112,15 +148,46 @@ def electron_transport(qin, jmax, alpha=None, theta=None, light_type: int = 0):
     """
     if light_type == 0:
         return jmax
-    aq = alpha * qin
+    if light_type not in (1, 2):
+        raise ValueError(f"unknown light_type {light_type!r}")
+    jm = value(jmax)
+    aq = value(alpha) * qin
+    s = aq + jm
     if light_type == 1:
-        return aq * jmax / (aq + jmax)
-    if light_type == 2:
-        s = aq + jmax
-        disc = s * s - (4.0 * theta) * (aq * jmax)
-        # roundoff can push the discriminant a hair negative at theta=1
-        return (s - sqrt(relu(disc))) / (2.0 * theta)
-    raise ValueError(f"unknown light_type {light_type!r}")
+        out = aq * jm / s
+
+        def vjp(g):
+            g_p = g / s
+            g_s = -g * out / s
+            g_aq = g_p * jm + g_s
+            return g_aq * qin, g_p * aq + g_s
+
+        return fuse(out, (alpha, jmax), vjp)
+
+    th = value(theta)
+    t4 = 4.0 * th
+    aqj = aq * jm
+    disc = s * s - t4 * aqj
+    pos = disc > 0.0
+    # roundoff can push the discriminant a hair negative at theta=1
+    sq = np.sqrt(np.where(pos, disc, 0.0))
+    den = 2.0 * th
+    out = (s - sq) / den
+
+    def vjp(g):
+        g_num = g / den
+        live = sq > 0.0
+        g_disc = np.where(live, 0.5 * -g_num / np.where(live, sq, 1.0),
+                          0.0) * pos
+        d_ss = g_disc * s
+        g_s = g_num + d_ss + d_ss
+        g_tq = -g_disc
+        g_aqj = g_tq * t4
+        g_aq = g_s + g_aqj * jm
+        g_th = g_tq * aqj * 4.0 + (-g * out / den) * 2.0
+        return g_aq * qin, g_s + g_aqj * aq, g_th
+
+    return fuse(out, (alpha, jmax, theta), vjp)
 
 
 def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
@@ -135,16 +202,57 @@ def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
     wins the minimum. Callers embedding this in a gradient graph pass a
     large finite sentinel instead to keep backward passes NaN-free.
 
-    Returns (wc, wj, wp, wp_valid) with wp_valid the boolean mask of
-    points where Wp is physically defined.
+    Returns (rates, wp_valid): rates stacks Wc, Wj and Wp along a new
+    first axis (one Var when an operand is a Var), and wp_valid is the
+    boolean mask of points where Wp is physically defined.
     """
-    wc = vcmax * c / (c + kc * (1.0 + o2 / ko))
-    wj = j * c / (4.0 * (c + 2.0 * gamma_star))
-    thresh = (1.0 + 3.0 * alpha_g) * gamma_star
-    valid = engine.value(c) > engine.value(thresh)
-    denom = where(valid, c - thresh, 1.0)
-    wp = where(valid, (3.0 * tpu) * c / denom, big)
-    return wc, wj, wp, valid
+    cv, vv, jv, tv, gv, kcv, kov, agv = map(
+        value, (c, vcmax, j, tpu, gamma_star, kc, ko, alpha_g))
+    x = o2 / kov
+    y = 1.0 + x
+    kk = cv + kcv * y
+    wc = vv * cv / kk
+    dd = 4.0 * (cv + 2.0 * gv)
+    wj = jv * cv / dd
+    u = 1.0 + 3.0 * agv
+    thresh = u * gv
+    valid = cv > thresh
+    denom = np.where(valid, cv - thresh, 1.0)
+    t3 = 3.0 * tv
+    q = t3 * cv / denom
+    wp = np.where(valid, q, big)
+    rates = np.empty((3,) + np.broadcast_shapes(np.shape(wc), np.shape(wj),
+                                                np.shape(wp)))
+    rates[0], rates[1], rates[2] = wc, wj, wp
+    wc, wj = rates[0], rates[1]  # the VJP keeps the stacked copy only
+    c_var, g_var = isinstance(c, Var), isinstance(gamma_star, Var)
+
+    def vjp(g):
+        g_wc, g_wj, g_wp = g
+        g_num = g_wc / kk
+        g_numj = g_wj / dd
+        g_m = g_wp * valid / denom
+        g_kk = g_dd = g_thresh = g_c = g_gamma = g_kc = g_ko = g_ag = None
+        if c_var or isinstance(kc, Var) or isinstance(ko, Var):
+            g_kk = -g_wc * wc / kk
+            g_kc = g_kk * y
+            g_ko = -(g_kk * kcv) * x / kov
+        if c_var or g_var:
+            g_dd = -g_wj * wj / dd * 4.0
+        if c_var or g_var or isinstance(alpha_g, Var):
+            g_cmt = -g_wp * valid * q / denom * valid
+            g_thresh = -g_cmt
+            g_ag = g_thresh * gv * 3.0
+        if c_var:
+            g_c = (g_num * vv + g_kk + g_m * t3 + g_cmt
+                   + g_numj * jv + g_dd)
+        if g_var:
+            g_gamma = g_thresh * u + g_dd * 2.0
+        return (g_c, g_num * cv, g_numj * cv, g_m * cv * 3.0, g_gamma,
+                g_kc, g_ko, g_ag)
+
+    return fuse(rates, (c, vcmax, j, tpu, gamma_star, kc, ko, alpha_g),
+                vjp), valid
 
 
 def _scaled_main(k25, dha, dhd, topt, tleaf_k, temp_type, r_gas):
@@ -237,11 +345,8 @@ def _predict_points(ci, qin, tleaf_c, a_meas, params, config, entry, group):
     j = electron_transport(qin, jmax, params.alpha[group],
                            params.theta[group], config.light_type)
     ag = sigmoid(params.alpha_g_raw[group])
-    wc, wj, wp, _ = limitation_rates(c, vcmax, j, tpu, gamma, kc, ko,
-                                     cn.o2, ag)
-    wc = np.broadcast_to(np.asarray(wc, dtype=np.float64), c.shape)
-    wj = np.broadcast_to(np.asarray(wj, dtype=np.float64), c.shape)
-    wp = np.broadcast_to(np.asarray(wp, dtype=np.float64), c.shape)
+    rates, _ = limitation_rates(c, vcmax, j, tpu, gamma, kc, ko, cn.o2, ag)
+    wc, wj, wp = np.broadcast_to(rates, (3,) + c.shape)
 
     w = np.minimum(np.minimum(wc, wj), wp)
     a_hat = w * (1.0 - gamma / c) - rd

@@ -15,7 +15,6 @@ settling into it.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +321,7 @@ def fit_groups(dataset: Dataset, config: FitConfig | None = None,
     config = config or FitConfig()
     parts = split_by_group(dataset)
     if jobs > 1 and len(parts) > 1:
+        import concurrent.futures  # only parallel runs pay for the import
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(_fit_one, [(d, config) for _, d in parts]))
     return [fit(d, config, callback=callback) for _, d in parts]

@@ -49,6 +49,35 @@ def test_unwritable_output_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_ragged_row_is_data_error_naming_the_row(tmp_path, capsys):
+    data = synth_file(tmp_path)
+    with open(data) as fh:
+        n_lines = sum(1 for _ in fh)
+    with open(data, "a") as fh:
+        fh.write("1,0\n")
+    assert run(["fit", data, "-q", "--max-iter", "5"]) == 2
+    err = capsys.readouterr().err
+    assert f"row {n_lines + 1}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("column,cell", [("A", "nan"), ("Ci", "inf")])
+def test_non_finite_cell_is_data_error_naming_column_and_row(
+        tmp_path, capsys, column, cell):
+    data = synth_file(tmp_path)
+    with open(data) as fh:
+        lines = fh.read().splitlines()
+    k = lines[0].split(",").index(column)
+    cells = lines[7].split(",")
+    cells[k] = cell
+    lines[7] = ",".join(cells)
+    with open(data, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert run(["fit", data, "-q", "--max-iter", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "row 8" in err and column in err and cell in err
+
+
 def test_divergence_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     data = synth_file(tmp_path)
 

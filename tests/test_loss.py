@@ -99,7 +99,7 @@ def reference_series(dataset, params):
     ci = curve.array("ci")
     a = curve.array("a")
     ag = float(sigmoid(params.alpha_g_raw[0]))
-    wc, wj, wp, valid = limitation_rates(
+    (wc, wj, wp), valid = limitation_rates(
         ci, params.vcmax25[0], params.jmax25[0], params.tpu25[0],
         params.gamma25[0], params.kc25[0], params.ko25[0],
         params.constants.o2, ag, big=1e9)

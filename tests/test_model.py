@@ -7,11 +7,43 @@ import pytest
 
 from fvcbfit import FitConfig, ParameterState
 from fvcbfit.constants import FvCBConstants, R_GAS, T_REF
+from fvcbfit.engine import Var, fuse, grad, value
 from fvcbfit.errors import DomainError, NonPositiveC
 from fvcbfit.model import (
     arrhenius, peaked_arrhenius, topt_from_entropy,
     electron_transport, limitation_rates, net_assimilation, predict_curve,
 )
+
+
+RNG = np.random.default_rng(11)
+
+
+def check_adjoints(fn, args, live, rtol=1e-6, atol=1e-9):
+    """VJP of sum(w * fn(*args)) against central differences, for each
+    argument index in `live` (one leaf each, the rest held constant)."""
+    w = RNG.uniform(0.5, 1.5, size=np.shape(value(fn(*args))))
+
+    def objective(*a):
+        out = fn(*a)
+        return fuse((value(out) * w).sum(), (out,), lambda g: (g * w,))
+
+    leaves = [Var(args[k]) for k in live]
+    call = list(args)
+    for k, leaf in zip(live, leaves):
+        call[k] = leaf
+    for k, ga in zip(live, grad(objective(*call), leaves)):
+        x0 = np.asarray(args[k], dtype=np.float64)
+        gn = np.zeros_like(x0)
+        for i in np.ndindex(x0.shape):
+            h = 1e-6 * max(1.0, abs(x0[i]))
+            hi, lo = x0.copy(), x0.copy()
+            hi[i] += h
+            lo[i] -= h
+            gn[i] = (float(value(objective(*args[:k], hi, *args[k + 1:])))
+                     - float(value(objective(*args[:k], lo, *args[k + 1:])))
+                     ) / (2.0 * h)
+        np.testing.assert_allclose(ga, gn, rtol=rtol, atol=atol,
+                                   err_msg=f"argument {k}")
 
 
 # ---------------------------------------------------------------- arrhenius
@@ -33,7 +65,21 @@ def test_arrhenius_monotone_increasing_for_positive_dha():
     assert np.all(np.diff(k) > 0.0)
 
 
+def test_arrhenius_adjoint_matches_finite_differences():
+    # below and above the 298 K reference, where the scale crosses 1
+    tl = np.array([280.0, 290.0, 298.0, 305.0, 315.0])
+    check_adjoints(arrhenius, (RNG.uniform(50.0, 150.0, size=5),
+                               RNG.uniform(30.0, 80.0, size=5), tl), (0, 1))
+
+
 # --------------------------------------------------------- peaked arrhenius
+
+def test_peaked_arrhenius_adjoint_matches_finite_differences():
+    # below and above the optimum, on both sides of the reference
+    tl = np.array([285.0, 298.0, 305.0, 311.0, 318.0, 325.0])
+    args = (RNG.uniform(50.0, 150.0, size=6), RNG.uniform(30.0, 80.0, size=6),
+            200.0, np.full(6, 311.0), tl)
+    check_adjoints(peaked_arrhenius, args, (0, 1, 3))
 
 def test_peaked_arrhenius_oracle_values():
     np.testing.assert_allclose(
@@ -110,17 +156,54 @@ def test_electron_transport_type2_degenerate_discriminant():
     np.testing.assert_allclose(got, 200.0, rtol=1e-12)
 
 
+def test_electron_transport_adjoints_match_finite_differences():
+    q = np.linspace(20.0, 2000.0, 9)
+    jmax = RNG.uniform(150.0, 250.0, size=9)
+    alpha = RNG.uniform(0.3, 0.6, size=9)
+    check_adjoints(lambda a, j: electron_transport(q, j, a, light_type=1),
+                   (alpha, jmax), (0, 1))
+    theta = RNG.uniform(0.3, 0.95, size=9)
+    check_adjoints(lambda a, j, th: electron_transport(q, j, a, th, 2),
+                   (alpha, jmax, theta), (0, 1, 2), rtol=1e-5)
+    # theta > 1 drives some discriminants below 0, where the clamp
+    # leaves J = (aQ + jmax) / (2 theta); both sides of the kink
+    theta = np.full(9, 1.3)
+    disc = (alpha * q + jmax) ** 2 - 4.0 * theta * alpha * q * jmax
+    assert (disc < 0.0).any() and (disc > 0.0).any()
+    check_adjoints(lambda a, j, th: electron_transport(q, j, a, th, 2),
+                   (alpha, jmax, theta), (0, 1, 2), rtol=1e-5)
+
+
 # ------------------------------------------------------------ limitation rates
+
+def test_limitation_rates_adjoints_match_finite_differences():
+    # every operand live, with points on both sides of the Wp pole
+    n = 8
+    c = np.array([40.0, 60.0, 90.0, 150.0, 400.0, 800.0, 1200.0, 1700.0])
+    args = (c, RNG.uniform(80.0, 120.0, n), RNG.uniform(150.0, 250.0, n),
+            RNG.uniform(8.0, 15.0, n), RNG.uniform(38.0, 48.0, n),
+            RNG.uniform(380.0, 430.0, n), RNG.uniform(250.0, 300.0, n),
+            210.0, RNG.uniform(0.2, 0.5, n))
+
+    # a zero sentinel keeps the sum small enough for central differences
+    def rates(c, v, j, t, g, kc, ko, o2, ag):
+        return limitation_rates(c, v, j, t, g, kc, ko, o2, ag, big=0.0)[0]
+
+    valid = limitation_rates(*args)[1]
+    assert valid.any() and not valid.all()
+    check_adjoints(rates, args, (0, 1, 2, 3, 4, 5, 6, 8), rtol=1e-5,
+                   atol=1e-7)
+
 
 KC, KO, GAMMA, O2 = 404.9, 278.4, 42.75, 210.0
 
 
 def test_limitation_rate_oracles():
-    wc, wj, wp, valid = limitation_rates(
+    (wc, wj, wp), valid = limitation_rates(
         np.array([400.0]), 100.0, 166.66666666666666, 25.0, GAMMA, KC, KO, O2)
     np.testing.assert_allclose(wc, 36.02564187173396, rtol=1e-12)
     np.testing.assert_allclose(wj, 34.32887058015791, rtol=1e-12)
-    wc, wj, wp, valid = limitation_rates(
+    (wc, wj, wp), valid = limitation_rates(
         np.array([1500.0]), 100.0, 200.0, 25.0, GAMMA, KC, KO, O2)
     np.testing.assert_allclose(wp, 77.20020586721564, rtol=1e-12)
     assert valid.all()
@@ -128,11 +211,11 @@ def test_limitation_rate_oracles():
 
 def test_wp_invalid_below_pole_reports_sentinel():
     c = np.array([10.0, 42.75, 50.0])
-    wc, wj, wp, valid = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2)
+    (wc, wj, wp), valid = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2)
     np.testing.assert_array_equal(valid, [False, False, True])
     assert np.isposinf(wp[0]) and np.isposinf(wp[1])
     big = 1e9
-    _, _, wp2, _ = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2,
+    (_, _, wp2), _ = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2,
                                     big=big)
     assert wp2[0] == big
 
@@ -140,16 +223,16 @@ def test_wp_invalid_below_pole_reports_sentinel():
 def test_wp_pole_shifts_with_alpha_g():
     c = np.array([120.0])
     # (1 + 3*0.8) * 42.75 = 145.35 > 120, so the point becomes invalid
-    _, _, _, valid0 = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2,
+    _, valid0 = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2,
                                        alpha_g=0.0)
-    _, _, _, valid8 = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2,
+    _, valid8 = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2,
                                        alpha_g=0.8)
     assert valid0[0] and not valid8[0]
 
 
 def test_rate_monotonicity_in_c():
     c = np.linspace(50.0, 1800.0, 200)
-    wc, wj, wp, valid = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2)
+    (wc, wj, wp), valid = limitation_rates(c, 100.0, 200.0, 25.0, GAMMA, KC, KO, O2)
     assert np.all(np.diff(wc) > 0.0)
     assert np.all(np.diff(wj) > 0.0)
     assert np.all(np.diff(wp[valid]) <= 0.0)
