@@ -14,6 +14,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,26 +48,63 @@ class GasExchangeRecord:
     tleaf_c: float   # Celsius
 
 
-@dataclass(frozen=True)
+# The float64 columns of a curve, in GasExchangeRecord field order.
+COLUMNS = ("ci", "a", "qin", "tleaf_c")
+
+
+@dataclass(frozen=True, eq=False)
 class ResponseCurve:
-    """All points of one curve, in file order."""
+    """All points of one curve, in file order, stored as columns.
+
+    ci, a, qin and tleaf_c are read-only float64 arrays of one length
+    (units as in GasExchangeRecord). A writeable array passed in is
+    copied, so a curve cannot change after it is built.
+    """
 
     curve_id: int
     fitting_group: int
-    records: tuple
+    ci: np.ndarray
+    a: np.ndarray
+    qin: np.ndarray
+    tleaf_c: np.ndarray
     kind: CurveKind
+
+    def __post_init__(self):
+        n = None
+        for name in COLUMNS:
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
+            if arr.ndim != 1 or (n is not None and arr.shape[0] != n):
+                raise ValueError(f"column {name!r} has shape {arr.shape}; "
+                                 f"the columns must be 1-D of one length")
+            n = arr.shape[0]
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_records(cls, curve_id: int, fitting_group: int, records,
+                     kind: CurveKind) -> "ResponseCurve":
+        """A curve whose columns are read from GasExchangeRecords."""
+        cols = {name: [getattr(r, name) for r in records] for name in COLUMNS}
+        return cls(curve_id=curve_id, fitting_group=fitting_group, kind=kind,
+                   **cols)
 
     @property
     def n_points(self) -> int:
-        return len(self.records)
+        return self.ci.shape[0]
 
     @property
-    def tleaf_k_mean(self) -> float:
-        return float(np.mean([r.tleaf_c for r in self.records])) + 273.15
+    def records(self) -> tuple:
+        """The points as GasExchangeRecords, built from the columns."""
+        cid, grp = self.curve_id, self.fitting_group
+        return tuple(GasExchangeRecord(cid, grp, *row) for row in zip(
+            *(getattr(self, name).tolist() for name in COLUMNS)))
 
-    def array(self, field: str) -> np.ndarray:
-        return np.array([getattr(r, field) for r in self.records],
-                        dtype=np.float64)
+    def take(self, idx) -> "ResponseCurve":
+        """The curve restricted to, or reordered by, row indices idx."""
+        return replace(self, **{name: getattr(self, name)[idx]
+                                for name in COLUMNS})
 
 
 @dataclass(frozen=True)
@@ -98,8 +137,7 @@ def classify_curve(curve: ResponseCurve) -> CurveKind:
     else is treated as a CO2 response. An explicit override at load
     time wins over this rule.
     """
-    qin = curve.array("qin")
-    ci = curve.array("ci")
+    qin, ci = curve.qin, curve.ci
     qin_range = float(qin.max() - qin.min())
     ci_range = float(ci.max() - ci.min())
     if qin_range > 100.0 and ci_range < 0.15 * float(ci.mean()):
@@ -127,6 +165,74 @@ def _parse_int(cell: str, column: str, line: int) -> int:
     return int(val)
 
 
+# Rows parsed at a time: bounds the cell strings held in memory at once.
+CHUNK_ROWS = 8192
+
+
+def _columns_fast(rows, picks, n_cols):
+    """The picked columns of a chunk as float64 arrays, blank lines skipped.
+
+    Returns None when a row needs the per-cell path: a short or
+    whitespace-only row, a cell float() rejects, a non-finite value, or
+    a CurveID or FittingGroup (the first two picks) that is not whole.
+    """
+    if not all(rows):
+        rows = [r for r in rows if r]
+    if not rows:
+        return [np.empty(0) for _ in picks]
+    if min(map(len, rows)) < n_cols:
+        return None
+    n = len(rows)
+    try:
+        cols = [np.fromiter(map(float, cells), np.float64, count=n)
+                for cells in zip(*map(itemgetter(*picks), rows))]
+    except ValueError:
+        return None
+    if not all(np.isfinite(c).all() for c in cols):
+        return None
+    if not all((np.trunc(c) == c).all() for c in cols[:2]):
+        return None
+    return cols
+
+
+def _columns_per_cell(rows, first_line, picks, names, n_cols, group_of):
+    """_columns_fast row by row: raises ParseError naming the first bad
+    row, checking each curve's group as it goes."""
+    out = [[] for _ in picks]
+    for line_no, row in enumerate(rows, start=first_line):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < n_cols:
+            raise ParseError(f"row has {len(row)} cells, the header "
+                             f"has {n_cols} columns", row=line_no)
+        cid = _parse_int(row[picks[0]], names[0], line_no)
+        grp = _parse_int(row[picks[1]], names[1], line_no)
+        vals = [cid, grp] + [_parse_float(row[i], name, line_no)
+                             for i, name in zip(picks[2:], names[2:])]
+        if cid in group_of and group_of[cid] != grp:
+            raise ParseError(
+                f"curve {cid} listed in groups {group_of[cid]} and {grp}",
+                row=line_no)
+        group_of[cid] = grp
+        for dst, v in zip(out, vals):
+            dst.append(v)
+    return [np.array(v, dtype=np.float64) for v in out]
+
+
+def _merge_groups(cid, grp, group_of) -> bool:
+    """Record each curve's group; False, with group_of untouched, when a
+    curve meets a second group in this chunk or an earlier one."""
+    u, first, inv = np.unique(cid, return_index=True, return_inverse=True)
+    g0 = grp[first]
+    if np.any(grp != g0[inv]):
+        return False
+    pairs = [(int(c), int(g)) for c, g in zip(u.tolist(), g0.tolist())]
+    if any(group_of.get(c, g) != g for c, g in pairs):
+        return False
+    group_of.update(pairs)
+    return True
+
+
 def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     """Parse a Table-style CSV into a Dataset.
 
@@ -137,7 +243,11 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     row with fewer cells than the header, and for a blank, non-numeric
     or non-finite cell) or EmptyCurve. Rows violating the sanity bounds
     (Ci <= 0, Qin < 0, Tleaf outside [-10, 60] C) are dropped with a
-    warning.
+    warning. Curves come in the order of their first row in the file.
+
+    Rows are read in chunks of CHUNK_ROWS and converted column-wise; a
+    chunk with any bad row is parsed again cell by cell, so an error
+    names the same row and says the same thing either way.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -154,59 +264,70 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
         for name in REQUIRED_COLUMNS:
             if name not in col:
                 raise MissingColumn(f"required column {name!r} not in header")
-        has_qin = "Qin" in col
-        has_tleaf = "Tleaf" in col
+        picked = REQUIRED_COLUMNS + tuple(n for n in OPTIONAL_COLUMNS
+                                          if n in col)
+        picks = [col[name] for name in picked]
 
-        rows_by_curve: dict[int, list[GasExchangeRecord]] = {}
+        chunks = []
         group_of: dict[int, int] = {}
-        dropped: dict[int, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(names):
-                raise ParseError(f"row has {len(row)} cells, the header "
-                                 f"has {len(names)} columns", row=line_no)
-            cid = _parse_int(row[col["CurveID"]], "CurveID", line_no)
-            grp = _parse_int(row[col["FittingGroup"]], "FittingGroup", line_no)
-            ci = _parse_float(row[col["Ci"]], "Ci", line_no)
-            a = _parse_float(row[col["A"]], "A", line_no)
-            qin = (_parse_float(row[col["Qin"]], "Qin", line_no)
-                   if has_qin else DEFAULT_QIN)
-            tleaf = (_parse_float(row[col["Tleaf"]], "Tleaf", line_no)
-                     if has_tleaf else DEFAULT_TLEAF_C)
-            if cid in group_of and group_of[cid] != grp:
-                raise ParseError(
-                    f"curve {cid} listed in groups {group_of[cid]} and {grp}",
-                    row=line_no)
-            group_of[cid] = grp
-            rows_by_curve.setdefault(cid, [])
-            # sanity filter: drop rows a gas-exchange system cannot produce
-            if ci <= 0.0 or qin < 0.0 or not (-10.0 <= tleaf <= 60.0):
-                dropped[cid] = dropped.get(cid, 0) + 1
-                continue
-            rows_by_curve[cid].append(GasExchangeRecord(
-                curve_id=cid, fitting_group=grp, ci=ci, a=a,
-                qin=qin, tleaf_c=tleaf))
+        line = 2
+        while rows := list(islice(reader, CHUNK_ROWS)):
+            cols = _columns_fast(rows, picks, len(names))
+            if cols is None or not _merge_groups(cols[0], cols[1], group_of):
+                cols = _columns_per_cell(rows, line, picks, picked,
+                                         len(names), group_of)
+            chunks.append(cols)
+            line += len(rows)
 
-    if dropped:
-        detail = ", ".join(f"curve {c}: {n}" for c, n in sorted(dropped.items()))
-        warnings.warn(f"dropped out-of-range rows ({detail})", stacklevel=2)
-    if not rows_by_curve:
+    if not group_of:
         raise EmptyCurve("file contains no data rows")
+    table = dict(zip(picked, map(np.concatenate, zip(*chunks))))
+    del chunks
+    n_rows = table["CurveID"].shape[0]
+    ci, a = table["Ci"], table["A"]
+    qin = table.get("Qin", np.full(n_rows, DEFAULT_QIN))
+    tleaf = table.get("Tleaf", np.full(n_rows, DEFAULT_TLEAF_C))
+
+    # curve index of every row, curves in order of first appearance
+    u, first, inv = np.unique(table["CurveID"], return_index=True,
+                              return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.shape[0])
+    row_curve = rank[inv]
+    ids = [int(c) for c in u[by_first].tolist()]
+
+    # sanity filter: drop rows a gas-exchange system cannot produce
+    ok = (ci > 0.0) & (qin >= 0.0) & (tleaf >= -10.0) & (tleaf <= 60.0)
+    n_dropped = np.bincount(row_curve[~ok], minlength=len(ids))
+    if n_dropped.any():
+        detail = ", ".join(f"curve {c}: {n}" for c, n in
+                           sorted(zip(ids, n_dropped.tolist())) if n)
+        warnings.warn(f"dropped out-of-range rows ({detail})", stacklevel=2)
 
     overrides = {}
     for cid, kind in (kind_overrides or {}).items():
         overrides[int(cid)] = kind if isinstance(kind, CurveKind) \
             else CurveKind(str(kind).lower())
 
-    curves = []
-    for cid in rows_by_curve:  # insertion order = file order
-        recs = tuple(rows_by_curve[cid])
-        if not recs:
+    kept_curve = row_curve[ok]
+    n_kept = np.bincount(kept_curve, minlength=len(ids))
+    for cid, n in zip(ids, n_kept.tolist()):
+        if not n:
             raise EmptyCurve(f"curve {cid} has no valid rows")
-        curve = ResponseCurve(curve_id=cid, fitting_group=group_of[cid],
-                              records=recs, kind=CurveKind.CO2Response)
-        kind = overrides.get(cid, classify_curve(curve))
+    # kept rows grouped by curve, in file order within each curve
+    keep = np.flatnonzero(ok)[np.argsort(kept_curve, kind="stable")]
+    columns = []
+    for arr in (ci, a, qin, tleaf):
+        arr = arr[keep]
+        arr.setflags(write=False)
+        columns.append(arr)
+    ends = np.cumsum(n_kept).tolist()
+    curves = []
+    for cid, lo, hi in zip(ids, [0] + ends, ends):
+        curve = ResponseCurve(cid, group_of[cid], *(c[lo:hi] for c in columns),
+                              kind=CurveKind.CO2Response)
+        kind = overrides.get(cid) or classify_curve(curve)
         curves.append(replace(curve, kind=kind))
 
     groups: dict[int, list[int]] = {}
@@ -222,6 +343,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _texts(column: np.ndarray):
+    # _fmt of every value, without a numpy scalar per value
+    return map(repr, column.tolist())
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     """Write raw records back out in the input CSV schema."""
     try:
@@ -229,9 +355,10 @@ def write_dataset(dataset: Dataset, path) -> None:
             w = csv.writer(fh)
             w.writerow(["CurveID", "FittingGroup", "Ci", "A", "Qin", "Tleaf"])
             for curve in dataset.curves:
-                for r in curve.records:
-                    w.writerow([r.curve_id, r.fitting_group, _fmt(r.ci),
-                                _fmt(r.a), _fmt(r.qin), _fmt(r.tleaf_c)])
+                n = curve.n_points
+                w.writerows(zip(
+                    repeat(curve.curve_id, n), repeat(curve.fitting_group, n),
+                    *(_texts(getattr(curve, name)) for name in COLUMNS)))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -295,20 +422,6 @@ def _group_rows(results) -> list[dict]:
     return rows
 
 
-def _point_rows(results) -> list[dict]:
-    rows = []
-    for res in results:
-        for pred in res.predictions:
-            rows.append({
-                "curve_id": pred.curve_id,
-                "ci": float(pred.ci),
-                "a_measured": float(pred.a_measured),
-                "a_predicted": float(pred.a_predicted),
-                "state": pred.state,
-            })
-    return rows
-
-
 def write_results(result, path, format: str = "csv", points: bool = False) -> None:
     """Serialize fit results.
 
@@ -320,23 +433,25 @@ def write_results(result, path, format: str = "csv", points: bool = False) -> No
     results = [result] if hasattr(result, "params") else list(result)
     curve_rows = _curve_rows(results)
     group_rows = _group_rows(results)
-    point_rows = _point_rows(results) if points else None
 
     fmt = format.lower()
     path = str(path)
     try:
         if fmt == "json":
             doc = {"curves": curve_rows, "groups": group_rows}
-            if point_rows is not None:
-                doc["points"] = point_rows
+            if points:
+                doc["points"] = [
+                    dict(zip(POINT_COLUMNS, row)) for res in results
+                    for row in zip(*(res.points[name].tolist()
+                                     for name in POINT_COLUMNS))]
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
         elif fmt == "csv":
             _write_table(path, CURVE_COLUMNS, curve_rows)
             _write_table(_sibling(path, "_groups"), GROUP_COLUMNS, group_rows)
-            if point_rows is not None:
-                _write_table(_sibling(path, "_points"), POINT_COLUMNS, point_rows)
+            if points:
+                _write_points(_sibling(path, "_points"), results)
         else:
             raise ValueError(f"unknown format {format!r}")
     except OSError as exc:
@@ -360,3 +475,14 @@ def _write_table(path: str, columns: list, rows: list) -> None:
                 v = row[c]
                 out.append(_fmt(v) if isinstance(v, float) else v)
             w.writerow(out)
+
+
+def _write_points(path: str, results) -> None:
+    # column-wise _write_table over each result's point arrays
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(POINT_COLUMNS)
+        for res in results:
+            cols = (res.points[name] for name in POINT_COLUMNS)
+            w.writerows(zip(*(_texts(c) if c.dtype.kind == "f" else c.tolist()
+                              for c in cols)))

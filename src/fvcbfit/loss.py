@@ -167,13 +167,12 @@ class Workspace:
         pos = 0
         for i, cid in enumerate(params.curve_ids):
             curve = by_id[cid]
-            c_ci = curve.array("ci")
-            n = c_ci.shape[0]
-            order = np.lexsort((np.arange(n), c_ci))
-            ci.append(c_ci[order])
-            a.append(curve.array("a")[order])
-            qin.append(curve.array("qin")[order])
-            tl.append(curve.array("tleaf_c")[order])
+            n = curve.n_points
+            order = np.lexsort((np.arange(n), curve.ci))
+            ci.append(curve.ci[order])
+            a.append(curve.a[order])
+            qin.append(curve.qin[order])
+            tl.append(curve.tleaf_c[order])
             orig.append(order)
             starts.append(pos)
             lengths.append(n)

@@ -298,13 +298,10 @@ def predict_curve(curve, params, config, entry: int = 0, group: int = 0):
     """Vectorized forward prediction for one response curve.
 
     Uses measured A for the g_m substitution when config.fit_gm is on.
-    Returns (a_hat, states) aligned with curve.records.
+    Returns (a_hat, states) aligned with the curve's points.
     """
-    ci = np.array([r.ci for r in curve.records], dtype=np.float64)
-    qin = np.array([r.qin for r in curve.records], dtype=np.float64)
-    tl = np.array([r.tleaf_c for r in curve.records], dtype=np.float64)
-    a_meas = np.array([r.a for r in curve.records], dtype=np.float64)
-    return _predict_points(ci, qin, tl, a_meas, params, config, entry, group)
+    return _predict_points(curve.ci, curve.qin, curve.tleaf_c, curve.a,
+                           params, config, entry, group)
 
 
 def _predict_points(ci, qin, tleaf_c, a_meas, params, config, entry, group):

@@ -15,6 +15,8 @@ settling into it.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,17 +85,19 @@ class PointPrediction:
 class FitResult:
     """Everything a fit produces.
 
-    curve_metrics, tpu_stage and tpu_gap are keyed by curve id;
-    predictions follow the canonical curve order, points within a curve
-    in their original record order. loss_history[0] is the loss at the
-    initial parameters; final_loss belongs to the returned (best seen)
+    curve_metrics, tpu_stage and tpu_gap are keyed by curve id. points
+    maps each PointPrediction field to an array over all points, curves
+    in canonical order and points within a curve in their original
+    record order; predictions is the same table as PointPredictions,
+    built on first use. loss_history[0] is the loss at the initial
+    parameters; final_loss belongs to the returned (best seen)
     parameters.
     """
 
     params: ParameterState
     config: FitConfig
     curve_metrics: dict
-    predictions: tuple
+    points: dict
     loss_history: np.ndarray
     tpu_stage: dict
     tpu_gap: dict
@@ -101,6 +105,12 @@ class FitResult:
     initial_loss: float
     final_loss: float
     breakdown: LossBreakdown
+
+    @functools.cached_property
+    def predictions(self) -> tuple:
+        cols = (self.points[f.name].tolist()
+                for f in dataclasses.fields(PointPrediction))
+        return tuple(PointPrediction(*row) for row in zip(*cols))
 
 
 def init_parameters(dataset: Dataset, config: FitConfig | None = None,
@@ -158,7 +168,8 @@ def _project(flat: np.ndarray, packing: _Packing, params: ParameterState,
         for name in ("topt_vcmax", "topt_jmax", "topt_tpu"):
             clip(name, lo=200.0, hi=400.0)
     clip("alpha", lo=1e-6)
-    clip("theta", lo=1e-6)
+    # above 1 the non-rectangular hyperbola's discriminant can go negative
+    clip("theta", lo=1e-6, hi=1.0)
     clip("gm", lo=1e-3)
     for name in ("kc25", "ko25", "gamma25"):
         clip(name, lo=1e-6)
@@ -263,33 +274,39 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
     packing.unpack(best_flat, params)
     _, breakdown, _, aux = _evaluate(ws, params, config)
 
+    by_id = {c.curve_id: c for c in dataset.curves}
+    curves = [by_id[cid] for cid in params.curve_ids]
     metrics = {}
-    preds = []
+    a_pred, state = [], []
     tpu_stage = {}
     tpu_gap = {}
-    for i, cid in enumerate(params.curve_ids):
-        curve = next(c for c in dataset.curves if c.curve_id == cid)
+    for i, (cid, curve) in enumerate(zip(params.curve_ids, curves)):
         a_hat, states = predict_curve(curve, params, config,
                                       entry=int(params.entry_of[i]),
                                       group=int(params.group_of[i]))
-        a_obs = curve.array("a")
         try:
-            r2 = r_squared(a_obs, a_hat)
+            r2 = r_squared(curve.a, a_hat)
         except ZeroVariance:
             r2 = float("nan")
-        metrics[cid] = CurveMetrics(rmse=rmse(a_obs, a_hat), r2=r2,
+        metrics[cid] = CurveMetrics(rmse=rmse(curve.a, a_hat), r2=r2,
                                     n_points=curve.n_points)
-        for rec, ah, st in zip(curve.records, a_hat, states):
-            preds.append(PointPrediction(curve_id=cid, ci=rec.ci,
-                                         a_measured=rec.a,
-                                         a_predicted=float(ah), state=st))
+        a_pred.append(a_hat)
+        state.append(states)
         gap = float(aux["tpu_gap"][i])
         ok = bool(aux["tpu_valid"][i])
         tpu_gap[cid] = gap if ok else float("nan")
         tpu_stage[cid] = ok and gap < -TPU_STAGE_MARGIN
 
+    points = {
+        "curve_id": np.repeat(np.asarray(params.curve_ids, dtype=np.int64),
+                              [c.n_points for c in curves]),
+        "ci": np.concatenate([c.ci for c in curves]),
+        "a_measured": np.concatenate([c.a for c in curves]),
+        "a_predicted": np.concatenate(a_pred),
+        "state": np.concatenate(state),
+    }
     return FitResult(params=params, config=config, curve_metrics=metrics,
-                     predictions=tuple(preds),
+                     points=points,
                      loss_history=np.asarray(history),
                      tpu_stage=tpu_stage, tpu_gap=tpu_gap,
                      iterations_run=steps, initial_loss=float(history[0]),
@@ -300,7 +317,8 @@ def split_by_group(dataset: Dataset) -> list:
     """[(group_id, sub-dataset)] in ascending group order."""
     out = []
     for gid, ids in dataset.groups.items():
-        curves = tuple(c for c in dataset.curves if c.curve_id in set(ids))
+        members = set(ids)
+        curves = tuple(c for c in dataset.curves if c.curve_id in members)
         out.append((gid, Dataset(curves=curves, groups={gid: list(ids)})))
     return out
 

@@ -126,8 +126,7 @@ def preprocess_curve(curve: ResponseCurve, cfg: PreprocessConfig | None = None
     if n < cfg.min_points_factor * cfg.window_len:
         return curve
 
-    ci = curve.array("ci")
-    a = curve.array("a")
+    ci, a = curve.ci, curve.a
     order = np.lexsort((np.arange(n), ci))  # Ci ascending, stable
     ci_s = ci[order]
     a_s = a[order].copy()
@@ -144,10 +143,9 @@ def preprocess_curve(curve: ResponseCurve, cfg: PreprocessConfig | None = None
             f"curve {curve.curve_id}: {kept_sorted.shape[0]} points survive")
 
     kept_orig = np.sort(order[kept_sorted])
-    smoothed = dict(zip(order.tolist(), a_s.tolist()))
-    new_records = tuple(
-        replace(curve.records[i], a=smoothed[i]) for i in kept_orig.tolist())
-    return replace(curve, records=new_records)
+    smoothed = np.empty(n)
+    smoothed[order] = a_s
+    return replace(curve.take(kept_orig), a=smoothed[kept_orig])
 
 
 def preprocess_dataset(dataset: Dataset, cfg: PreprocessConfig | None = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data_io import CurveKind, Dataset, GasExchangeRecord, ResponseCurve
+from .data_io import CurveKind, Dataset, ResponseCurve
 from .model import _predict_points
 from .params import FitConfig, MAIN_FOUR, ParameterState
 
@@ -111,15 +111,9 @@ def generate_curve(spec: SynthSpec, entry: int = 0,
     a_hat, _ = _predict_points(ci, qin, tl, None, params, config,
                                entry=entry, group=group)
     a = a_hat + rng.normal(0.0, spec.noise_sd, size=a_hat.shape)
-    records = tuple(
-        GasExchangeRecord(curve_id=spec.curve_id,
-                          fitting_group=spec.fitting_group,
-                          ci=float(ci[k]), a=float(a[k]),
-                          qin=float(qin[k]), tleaf_c=float(tl[k]))
-        for k in range(ci.shape[0]))
     return ResponseCurve(curve_id=spec.curve_id,
                          fitting_group=spec.fitting_group,
-                         records=records, kind=kind)
+                         ci=ci, a=a, qin=qin, tleaf_c=tl, kind=kind)
 
 
 def generate_dataset(true_params: ParameterState, n_curves: int = 1,

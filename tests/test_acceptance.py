@@ -227,8 +227,9 @@ def test_criterion_07_preprocessing_conformance():
     recs = tuple(GasExchangeRecord(curve_id=0, fitting_group=0, ci=float(c),
                                    a=float(v), qin=2000.0, tleaf_c=25.0)
                  for c, v in zip(ci, a))
-    curve = ResponseCurve(curve_id=0, fitting_group=0, records=recs,
-                          kind=CurveKind.CO2Response)
+    curve = ResponseCurve.from_records(curve_id=0, fitting_group=0,
+                                       records=recs,
+                                       kind=CurveKind.CO2Response)
     cfg = PreprocessConfig(window_len=5, jump_up=0.1, jump_down=-0.1)
     out = preprocess_curve(curve, cfg)
 
@@ -249,8 +250,9 @@ def test_criterion_07_preprocessing_conformance():
     srecs = tuple(GasExchangeRecord(curve_id=1, fitting_group=0, ci=float(c),
                                     a=float(v), qin=2000.0, tleaf_c=25.0)
                   for c, v in zip(steady_ci, steady_a))
-    steady = ResponseCurve(curve_id=1, fitting_group=0, records=srecs,
-                           kind=CurveKind.CO2Response)
+    steady = ResponseCurve.from_records(curve_id=1, fitting_group=0,
+                                        records=srecs,
+                                        kind=CurveKind.CO2Response)
     assert preprocess_curve(steady) is steady
 
 

@@ -290,3 +290,16 @@ def test_console_script_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert path.exists()
+
+
+def test_repeated_header_is_data_error_naming_its_row(tmp_path, capsys):
+    # two files joined with cat: the second header is a data row
+    data = synth_file(tmp_path)
+    with open(data) as fh:
+        text = fh.read()
+    with open(data, "w") as fh:
+        fh.write(text + text)
+    assert run(["fit", data, "-q", "--max-iter", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "row 152: non-numeric CurveID value 'CurveID'" in err
+    assert "Traceback" not in err

@@ -3,10 +3,12 @@ curve classification, and result serialization."""
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fvcbfit import data_io
 from fvcbfit.data_io import (
     CurveKind, Dataset, GasExchangeRecord, ResponseCurve,
     classify_curve, load_csv, write_dataset, write_results,
@@ -109,12 +111,102 @@ def test_curve_in_two_groups_rejected(tmp_path):
         load_csv(write_text(tmp_path / "twogroups.csv", text))
 
 
+# --- parser behaviour, also across chunk boundaries ---------------------
+
+@pytest.fixture(params=[None, 1, 2, 3])
+def chunk_rows(request, monkeypatch):
+    """Run a test with the default chunk size and with tiny ones, so
+    rows of one curve, blank lines and bad rows fall across chunks."""
+    if request.param is not None:
+        monkeypatch.setattr(data_io, "CHUNK_ROWS", request.param)
+    return request.param
+
+
+HEADER = "CurveID,FittingGroup,Ci,A\n"
+
+
+def test_blank_lines_keep_line_numbers_exact(tmp_path, chunk_rows):
+    text = HEADER + "1,0,300,11\n\n1,0,400,14\n \n,,,\n1,0,bad,19\n"
+    with pytest.raises(ParseError,
+                       match=r"^row 7: non-numeric Ci value 'bad'$"):
+        load_csv(write_text(tmp_path / "blank_lines.csv", text))
+    ok = HEADER + "1,0,300,11\n\n1,0,400,14\n \n,,,\n1,0,500,19\n"
+    ds = load_csv(write_text(tmp_path / "blank_ok.csv", ok))
+    assert [r.ci for r in ds.curves[0].records] == [300.0, 400.0, 500.0]
+
+
+def test_interleaved_curves_keep_their_rows_in_file_order(tmp_path,
+                                                           chunk_rows):
+    text = HEADER + "2,0,100,1\n1,0,300,3\n2,0,200,2\n1,0,400,4\n2,0,50,5\n"
+    ds = load_csv(write_text(tmp_path / "interleaved.csv", text))
+    assert [c.curve_id for c in ds.curves] == [2, 1]
+    assert [r.ci for r in ds.curves[0].records] == [100.0, 200.0, 50.0]
+    assert [r.a for r in ds.curves[0].records] == [1.0, 2.0, 5.0]
+    assert [r.ci for r in ds.curves[1].records] == [300.0, 400.0]
+    assert ds.groups == {0: [1, 2]}
+
+
+def test_curve_order_is_first_appearance(tmp_path, chunk_rows):
+    text = HEADER + "5,0,100,1\n2,0,-1,2\n9,0,300,3\n2,0,200,4\n"
+    with pytest.warns(UserWarning, match=r"\(curve 2: 1\)"):
+        ds = load_csv(write_text(tmp_path / "order.csv", text))
+    assert [c.curve_id for c in ds.curves] == [5, 2, 9]
+    # every row of curves 7 and 3 is out of range: 7 comes first
+    bad = HEADER + "5,0,100,1\n7,0,-1,2\n3,0,-2,3\n7,0,0,4\n"
+    with pytest.warns(UserWarning, match=r"curve 3: 1, curve 7: 2"):
+        with pytest.raises(EmptyCurve, match="curve 7 has no valid rows"):
+            load_csv(write_text(tmp_path / "empty_curve.csv", bad))
+
+
+def test_group_conflict_on_a_dropped_row_still_raises(tmp_path, chunk_rows):
+    text = HEADER + "1,0,300,11\n1,1,-5,14\n1,0,400,12\n"
+    with pytest.raises(ParseError,
+                       match=r"^row 3: curve 1 listed in groups 0 and 1$"):
+        load_csv(write_text(tmp_path / "conflict.csv", text))
+
+
+def test_whole_float_curve_id_is_accepted(tmp_path, chunk_rows):
+    text = HEADER + "3.0,1.0,300,11\n3,1,400,14\n"
+    ds = load_csv(write_text(tmp_path / "float_id.csv", text))
+    assert [c.curve_id for c in ds.curves] == [3]
+    assert type(ds.curves[0].curve_id) is int
+    assert ds.groups == {1: [3]}
+    fractional = r"^row 3: CurveID must be an integer, got '3.5'$"
+    with pytest.raises(ParseError, match=fractional):
+        load_csv(write_text(tmp_path / "frac_id.csv",
+                            HEADER + "3,1,300,11\n3.5,1,400,14\n"))
+
+
+def test_cells_with_surrounding_spaces_parse(tmp_path, chunk_rows):
+    text = (" CurveID , FittingGroup ,Ci, A ,Qin,Tleaf\n"
+            " 4 , 0 , 300.5 , 11.25 ,\t2000 , 25 \n4,0,400,12,2000,25\n")
+    ds = load_csv(write_text(tmp_path / "spaces.csv", text))
+    r = ds.curves[0].records[0]
+    assert (r.curve_id, r.ci, r.a, r.qin, r.tleaf_c) == \
+           (4, 300.5, 11.25, 2000.0, 25.0)
+
+
+def test_curve_columns_are_read_only_float64(tmp_path):
+    ds = load_csv(write_text(tmp_path / "in.csv", FULL))
+    c = ds.curves[0]
+    for name in ("ci", "a", "qin", "tleaf_c"):
+        col = getattr(c, name)
+        assert col.dtype == np.float64 and not col.flags.writeable
+    with pytest.raises(ValueError):
+        c.a[0] = 0.0
+    ci = np.array([1.0, 2.0])
+    built = ResponseCurve(curve_id=0, fitting_group=0, ci=ci, a=ci, qin=ci,
+                          tleaf_c=ci, kind=CurveKind.CO2Response)
+    ci[0] = 9.0  # the curve holds its own copy
+    assert built.ci.tolist() == [1.0, 2.0]
+
+
 def make_curve(ci, qin, cid=0):
     recs = tuple(GasExchangeRecord(curve_id=cid, fitting_group=0, ci=c,
                                    a=1.0, qin=q, tleaf_c=25.0)
                  for c, q in zip(ci, qin))
-    return ResponseCurve(curve_id=cid, fitting_group=0, records=recs,
-                         kind=CurveKind.CO2Response)
+    return ResponseCurve.from_records(curve_id=cid, fitting_group=0,
+                                      records=recs, kind=CurveKind.CO2Response)
 
 
 def test_classification_light_protocol():
@@ -208,3 +300,94 @@ def test_write_results_deterministic_bytes(small_fit, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a_groups.csv").read_bytes() == \
            (tmp_path / "b_groups.csv").read_bytes()
+
+
+# --- writers against a plain row-by-row rendering -----------------------
+
+def _line(cells):
+    return ",".join(cells) + "\r\n"
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+@pytest.fixture(scope="module")
+def two_group_fits():
+    from fvcbfit import ParameterState, fit_groups, generate_dataset
+    from fvcbfit.params import FitConfig
+    ds0, _ = generate_dataset(ParameterState.single(), n_curves=2, seed=5,
+                              noise_sd=0.5)
+    ds1, _ = generate_dataset(ParameterState.single(tpu25=9.0), n_curves=1,
+                              seed=9, fitting_group=4)
+    # every third point of a curve in a second group, under id 7
+    c7 = replace(ds1.curves[0].take(np.arange(0, 150, 3)), curve_id=7)
+    ds = Dataset(curves=ds0.curves + (c7,), groups={0: [0, 1], 4: [7]})
+    return fit_groups(ds, FitConfig(max_iter=5))
+
+
+def test_points_csv_matches_row_by_row_rendering(two_group_fits, tmp_path):
+    out = tmp_path / "res.csv"
+    write_results(two_group_fits, str(out), points=True)
+    expected = _line(["curve_id", "ci", "a_measured", "a_predicted", "state"])
+    states = set()
+    for res in two_group_fits:
+        for p in res.predictions:
+            expected += _line([str(p.curve_id), _fmt(p.ci),
+                               _fmt(p.a_measured), _fmt(p.a_predicted),
+                               p.state])
+            states.add(p.state)
+    assert len(states) >= 2
+    got = (tmp_path / "res_points.csv").read_bytes().decode()
+    assert got == expected
+
+
+def test_json_matches_row_by_row_rendering(two_group_fits, tmp_path):
+    out = tmp_path / "res.json"
+    write_results(two_group_fits, str(out), format="json", points=True)
+    text = out.read_text()
+    doc = json.loads(text)
+    rows = [{"curve_id": p.curve_id, "ci": float(p.ci),
+             "a_measured": float(p.a_measured),
+             "a_predicted": float(p.a_predicted), "state": p.state}
+            for res in two_group_fits for p in res.predictions]
+    assert doc["points"] == rows
+    expected = {"curves": doc["curves"], "groups": doc["groups"],
+                "points": rows}
+    assert text == json.dumps(expected, indent=2) + "\n"
+
+
+def test_write_dataset_matches_row_by_row_rendering(tmp_path):
+    from fvcbfit import ParameterState, generate_dataset
+    ds, _ = generate_dataset(ParameterState.single(), n_curves=2, seed=4,
+                             noise_sd=0.5, tleaf_c=31.5, fitting_group=3)
+    out = tmp_path / "data.csv"
+    write_dataset(ds, str(out))
+    expected = _line(["CurveID", "FittingGroup", "Ci", "A", "Qin", "Tleaf"])
+    for curve in ds.curves:
+        for r in curve.records:
+            expected += _line([str(r.curve_id), str(r.fitting_group),
+                               _fmt(r.ci), _fmt(r.a), _fmt(r.qin),
+                               _fmt(r.tleaf_c)])
+    assert out.read_bytes().decode() == expected
+
+
+def test_per_cell_path_parses_like_the_column_path(tmp_path, monkeypatch):
+    # the per-cell path, which a chunk with a bad row takes, is the
+    # reference for the column-wise one on good input
+    text = (" CurveID ,FittingGroup,Ci,A,Qin,Tleaf,Note\n"
+            "2,1,300,11.5,2000,25,a\n3.0,0, 80 ,4.25,100,31,b\n"
+            "\n2,1,-4,1,2000,25,c\n3,0,120,6.125,250,31.5,\n"
+            "2,1,600,20.0625,2000,25,d\n3,0,160,7,400,-10,e\n")
+    path = write_text(tmp_path / "mixed.csv", text)
+
+    def load():
+        with pytest.warns(UserWarning, match=r"\(curve 2: 1\)"):
+            ds = load_csv(path)
+        return [(c.curve_id, c.fitting_group, c.kind, c.records)
+                for c in ds.curves], ds.groups
+
+    fast = load()
+    monkeypatch.setattr(data_io, "_columns_fast", lambda *args: None)
+    assert load() == fast
+    assert [cid for cid, *_ in fast[0]] == [2, 3]

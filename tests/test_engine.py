@@ -54,8 +54,8 @@ def workspace(a_curves, light=()):
                      for k, ak in enumerate(a))
         kind = CurveKind.LightResponse if cid in light \
             else CurveKind.CO2Response
-        curves.append(ResponseCurve(curve_id=cid, fitting_group=0,
-                                    records=recs, kind=kind))
+        curves.append(ResponseCurve.from_records(
+            curve_id=cid, fitting_group=0, records=recs, kind=kind))
     ds = Dataset(curves=tuple(curves), groups={0: list(range(len(curves)))})
     ids = tuple(range(len(curves)))
     return Workspace(ds, ParameterState.defaults(curve_ids=ids))

@@ -96,8 +96,8 @@ def reference_series(dataset, params):
     """Per-point A_c/A_j/A_p for a single CO2 curve, plain numpy, with
     the default configuration (J = Jmax, no temperature response)."""
     curve = dataset.curves[0]
-    ci = curve.array("ci")
-    a = curve.array("a")
+    ci = curve.ci
+    a = curve.a
     ag = float(sigmoid(params.alpha_g_raw[0]))
     (wc, wj, wp), valid = limitation_rates(
         ci, params.vcmax25[0], params.jmax25[0], params.tpu25[0],
@@ -141,8 +141,7 @@ def test_shifting_measurements_moves_only_the_mse():
     truth = ParameterState.single()
     ds, _ = generate_dataset(truth, seed=2)
     curve = ds.curves[0]
-    shifted = replace(curve, records=tuple(
-        replace(r, a=r.a + 1.0) for r in curve.records))
+    shifted = replace(curve, a=curve.a + 1.0)
     ds_shift = replace(ds, curves=(shifted,))
     b0 = total_loss(ds, truth)
     b1 = total_loss(ds_shift, truth)
@@ -220,9 +219,9 @@ def test_mesophyll_substitution_guards_against_nonpositive_c():
     recs = tuple(GasExchangeRecord(curve_id=0, fitting_group=0, ci=100.0,
                                    a=5.0, qin=2000.0, tleaf_c=25.0)
                  for _ in range(3))
-    ds = Dataset(curves=(ResponseCurve(curve_id=0, fitting_group=0,
-                                       records=recs,
-                                       kind=CurveKind.CO2Response),),
+    ds = Dataset(curves=(ResponseCurve.from_records(
+                             curve_id=0, fitting_group=0, records=recs,
+                             kind=CurveKind.CO2Response),),
                  groups={0: [0]})
     with pytest.raises(NonPositiveC):
         total_loss(ds, ParameterState.single(gm=0.01), FitConfig(fit_gm=True))
@@ -234,9 +233,8 @@ def test_loss_invariant_to_input_ordering():
     rng = np.random.default_rng(0)
     scrambled = []
     for curve in ds.curves[::-1]:
-        perm = rng.permutation(len(curve.records))
-        scrambled.append(replace(
-            curve, records=tuple(curve.records[i] for i in perm)))
+        perm = rng.permutation(curve.n_points)
+        scrambled.append(curve.take(perm))
     ds2 = Dataset(curves=tuple(scrambled), groups=ds.groups)
     params = ParameterState.defaults(curve_ids=(0, 1), vcmax25=85.0)
     assert total_loss(ds2, params) == total_loss(ds, params)

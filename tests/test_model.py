@@ -304,8 +304,9 @@ def test_predict_curve_matches_pointwise_calls():
     recs = tuple(GasExchangeRecord(curve_id=0, fitting_group=0, ci=c,
                                    a=0.0, qin=1500.0, tleaf_c=28.0)
                  for c in ci)
-    curve = ResponseCurve(curve_id=0, fitting_group=0, records=recs,
-                          kind=CurveKind.CO2Response)
+    curve = ResponseCurve.from_records(curve_id=0, fitting_group=0,
+                                       records=recs,
+                                       kind=CurveKind.CO2Response)
     a_hat, states = predict_curve(curve, params, cfg)
     for i in (0, 7, 24):
         a_i, s_i = net_assimilation((ci[i], 1500.0, 28.0), params, cfg)
@@ -320,7 +321,8 @@ def test_gm_substitution_requires_positive_c():
     cfg = FitConfig(fit_gm=True)
     recs = (GasExchangeRecord(curve_id=0, fitting_group=0, ci=100.0,
                               a=5.0, qin=2000.0, tleaf_c=25.0),)
-    curve = ResponseCurve(curve_id=0, fitting_group=0, records=recs,
-                          kind=CurveKind.CO2Response)
+    curve = ResponseCurve.from_records(curve_id=0, fitting_group=0,
+                                       records=recs,
+                                       kind=CurveKind.CO2Response)
     with pytest.raises(NonPositiveC):
         predict_curve(curve, params, cfg)  # 100 - 5/0.01 = -400

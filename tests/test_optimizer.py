@@ -7,6 +7,7 @@ import pytest
 
 from fvcbfit.data_io import Dataset
 from fvcbfit.errors import DivergenceError, FvcbError
+from fvcbfit.model import peaked_arrhenius
 from fvcbfit.optimizer import (
     AdamState, adam_step, fit, fit_groups, init_parameters, split_by_group,
 )
@@ -132,10 +133,8 @@ def test_fit_invariant_to_input_ordering():
     ds, _ = generate_dataset(ParameterState.single(), n_curves=2,
                              noise_sd=0.5, seed=43)
     rng = np.random.default_rng(1)
-    scrambled = tuple(
-        replace(c, records=tuple(c.records[i]
-                                 for i in rng.permutation(len(c.records))))
-        for c in ds.curves[::-1])
+    scrambled = tuple(c.take(rng.permutation(c.n_points))
+                      for c in ds.curves[::-1])
     ds2 = Dataset(curves=scrambled, groups=ds.groups)
     r1 = fit(ds, FitConfig(max_iter=60))
     r2 = fit(ds2, FitConfig(max_iter=60))
@@ -177,9 +176,7 @@ def test_positive_rd_projection():
     # measurements shifted up by 0.5 move the optimum to rd = -0.5
     truth = ParameterState.single(rd25=0.0)
     ds, _ = generate_dataset(truth, seed=46)
-    shifted = tuple(replace(c, records=tuple(replace(r, a=r.a + 0.5)
-                                             for r in c.records))
-                    for c in ds.curves)
+    shifted = tuple(replace(c, a=c.a + 0.5) for c in ds.curves)
     ds = Dataset(curves=shifted, groups=ds.groups)
     free = fit(ds, FitConfig(positive_rd=False, max_iter=2000))
     assert free.params.rd25[0] < -0.25
@@ -228,6 +225,33 @@ def test_stall_restart_settles_on_tpu_kink():
     assert res.iterations_run == 6000
     want = float(truths[9].rd25[0])
     assert float(res.params.rd25[0]) == pytest.approx(want, rel=0.01)
+
+
+def test_theta_stays_at_most_one_on_joint_light_temperature_fit():
+    # A/Ci curves at 20, 28 and 35 C plus one A-Q curve, one group. With
+    # theta bounded only from below this fit ended at theta = 1.168, where
+    # 13 of the 40 light points had a negative discriminant that
+    # electron_transport silently clamped to zero.
+    cfg = FitConfig(light_type=2, temp_type=2, max_iter=3000)
+    truth = ParameterState.single()
+    grids = [dict(tleaf_c=t) for t in (20.0, 28.0, 35.0)]
+    grids.append(dict(q_grid=np.linspace(0.0, 2000.0, 40)))
+    curves = []
+    for seed, grid in enumerate(grids):
+        ds, _ = generate_dataset(truth, config=cfg, noise_sd=0.5, seed=seed,
+                                 jitter=True, **grid)
+        curves.append(replace(ds.curves[0], curve_id=seed))
+    res = fit(Dataset(curves=tuple(curves), groups={0: [0, 1, 2, 3]}), cfg)
+    p, cn = res.params, res.params.constants
+    theta = float(p.theta[0])
+    assert 0.0 < theta <= 1.0
+    light = curves[3]
+    e = p.entry_of[p.curve_ids.index(3)]
+    jmax = peaked_arrhenius(p.jmax25[e], p.dha_jmax[0], cn.dhd_jmax,
+                            p.topt_jmax[0], light.tleaf_c + 273.15, cn.r_gas)
+    aq = p.alpha[0] * light.qin
+    disc = (aq + jmax) ** 2 - 4.0 * theta * aq * jmax
+    assert np.all(disc > 0.0)
 
 
 def test_callback_sees_every_iteration():

@@ -15,7 +15,8 @@ def build(ci, a, kind=CurveKind.CO2Response, cid=0):
                                    ci=float(c), a=float(v),
                                    qin=2000.0, tleaf_c=25.0)
                  for c, v in zip(ci, a))
-    return ResponseCurve(curve_id=cid, fitting_group=0, records=recs, kind=kind)
+    return ResponseCurve.from_records(curve_id=cid, fitting_group=0,
+                                      records=recs, kind=kind)
 
 
 def saturating(ci, amax=20.0, k=50.0):
