@@ -18,7 +18,9 @@ import numpy as np
 
 from .data_io import CurveKind, _fmt, load_csv, write_dataset, write_results
 from .errors import DivergenceError, FvcbError
-from .optimizer import fit, fit_groups, split_by_group
+# fit is not called here, but stays a name of this module: the benchmark's
+# tracer (bench/spans.py) wraps fvcbfit.cli.fit
+from .optimizer import fit, fit_groups  # noqa: F401
 from .params import FitConfig, ParameterState
 from .preprocess import PreprocessConfig, preprocess_dataset
 from .synth import generate_dataset
@@ -210,18 +212,12 @@ def _run_fit(args) -> int:
         dataset = preprocess_dataset(dataset, _preprocess_config(args))
     config = _fit_config(args)
 
-    results = []
-    if args.jobs > 1:
-        results = fit_groups(dataset, config, jobs=args.jobs)
-    else:
-        for gid, sub in split_by_group(dataset):
-            cb = None
-            if not quiet:
-                def cb(it, loss, _gid=gid):
-                    if it % PROGRESS_EVERY == 0:
-                        print(f"  group {_gid}: iter {it:>6d}  "
-                              f"loss {loss:.6g}", flush=True)
-            results.append(fit(sub, config, callback=cb))
+    cb = None
+    if not quiet:
+        def cb(it, loss):
+            if it % PROGRESS_EVERY == 0:
+                print(f"  iter {it:>6d}  loss {loss:.6g}", flush=True)
+    results = fit_groups(dataset, config, jobs=args.jobs, callback=cb)
 
     if args.output:
         write_results(results, args.output, format=args.format,

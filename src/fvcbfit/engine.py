@@ -105,7 +105,10 @@ def fuse(out, inputs, vjp):
 
 
 def backward(root: Var) -> list:
-    """Push the cotangent of a scalar root back to every node it reads.
+    """Push the cotangent of a root back to every node it reads.
+
+    The root is seeded with ones: a vector root, such as the per-group
+    totals of the fitting objective, gives every entry a cotangent of 1.0.
 
     Nodes are visited newest first, so each one has received the
     cotangents of all its consumers, summed in the order those consumers
@@ -142,7 +145,8 @@ def backward(root: Var) -> list:
 
 
 def grad(root: Var, leaves) -> list[np.ndarray]:
-    """Gradients of a scalar root with respect to each leaf Var.
+    """Gradients of a root (of the sum of its entries) with respect to
+    each leaf Var.
 
     Leaves not reachable from the root get zeros of their shape.
     """

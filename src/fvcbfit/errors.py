@@ -43,7 +43,14 @@ class DomainError(FvcbError):
 
 
 class NonPositiveC(FvcbError):
-    """Chloroplastic CO2 went non-positive after the g_m substitution."""
+    """Chloroplastic CO2 went non-positive after the g_m substitution.
+
+    groups lists the fitting groups (indices into group_ids) where it did.
+    """
+
+    def __init__(self, message: str, groups=()):
+        super().__init__(message)
+        self.groups = list(groups)
 
 
 class LengthMismatch(FvcbError):

@@ -1,6 +1,9 @@
 """The penalty-augmented fitting objective.
 
-total = MSE over all retained points (one global n)
+Each fitting group is its own problem: groups share no parameter, and
+each has its own objective
+
+total = MSE over the group's retained points (divided by the group's n)
       + per CO2 curve:  the limitation-ordering penalty at the point
                         where A_c and A_j are closest, and the
                         TPU-transition penalty at the highest Ci
@@ -9,6 +12,11 @@ total = MSE over all retained points (one global n)
       + per group:      an optional Vcmax/Jmax correlation penalty
                         (groups of >= 7 curves)
       + per fitted scalar that must stay non-negative: max(0, -k).
+
+Every term, and the total, is a vector with one entry per group, and
+each group's entry has the bits it has in a workspace of that group
+alone. `total_loss` and the LossBreakdown of a multi-group dataset
+report each term summed over the groups, in group order.
 
 The standalone penalty functions below operate on plain numpy series
 and define the reference semantics; the batched evaluator `total_loss`
@@ -148,14 +156,20 @@ class Workspace:
 
     Curves are ordered by (fitting group, curve id) and points within a
     curve by ascending Ci, independent of input order, so losses and
-    gradients are invariant to permutations of the input.
+    gradients are invariant to permutations of the input. Each fitting
+    group's curves, points and main-four entries are therefore
+    contiguous, and the *_spans attributes hold each group's (start,
+    end) over them.
     """
 
     __slots__ = ("ci", "a", "qin", "tk", "pt_entry", "pt_group",
                  "seg_starts", "seg_lengths", "last_flat", "is_light",
                  "light_pt", "any_light", "light_only", "curve_ids",
                  "curve_entry", "curve_group", "n_points", "n_curves",
-                 "co2_curves", "corr_groups", "orig_index", "pos")
+                 "co2_curves", "corr_groups", "orig_index", "pos",
+                 "n_groups", "group_n",
+                 "pt_spans", "curve_spans", "co2_spans", "entry_spans",
+                 "column_spans", "entry_group", "co2_group")
 
     def __init__(self, dataset: Dataset, params: ParameterState):
         by_id = {c.curve_id: c for c in dataset.curves}
@@ -201,6 +215,20 @@ class Workspace:
         self.n_curves = len(params.curve_ids)
         self.co2_curves = np.flatnonzero(~self.is_light)
         self.orig_index = orig
+        self.entry_group = np.empty(params.n_entries, dtype=np.intp)
+        self.entry_group[params.entry_of] = params.group_of
+        self.co2_group = params.group_of[self.co2_curves]
+        k = params.n_groups
+        self.n_groups = k
+        cuts = np.searchsorted(params.group_of, np.arange(k + 1))
+        pt_cuts = np.append(self.seg_starts, self.n_points)[cuts]
+        self.curve_spans = _spans(cuts)
+        self.pt_spans = _spans(pt_cuts)
+        self.co2_spans = _spans(np.searchsorted(self.co2_curves, cuts))
+        self.entry_spans = _spans(np.searchsorted(self.entry_group,
+                                                  np.arange(k + 1)))
+        self.column_spans = _spans(np.arange(k + 1))
+        self.group_n = np.diff(pt_cuts).astype(np.float64)
         # groups eligible for the correlation penalty
         self.corr_groups = []
         if not params.onefit:
@@ -208,6 +236,21 @@ class Workspace:
                 entries = params.entry_of[params.group_of == gi]
                 if entries.shape[0] >= MIN_CURVES_FOR_R:
                     self.corr_groups.append((gi, entries.copy()))
+
+
+def _spans(cuts) -> list:
+    c = cuts.tolist()
+    return list(zip(c[:-1], c[1:]))
+
+
+def _group_sum(x, spans):
+    """x summed over each group's span.
+
+    Each span is summed on its own with .sum(), so a group's sum has the
+    bits it has in a workspace of that group alone; np.add.reduceat
+    would add in a different order.
+    """
+    return np.array([x[a:b].sum() for a, b in spans])
 
 
 def _site_co2(ci, a, gm):
@@ -252,8 +295,10 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
     """The penalty block as one node.
 
     Its value is [p_cjp, p_c_gt_j, p_c_lt_j, p_j_lt_p, p_corr,
-    p_nonneg]. It reads the rates through A_x = W_x * fac - rd; nonneg
-    lists the fitted scalars whose negative part is penalized.
+    p_nonneg], each a vector over the groups. It reads the rates
+    through A_x = W_x * fac - rd; nonneg lists the fitted scalars whose
+    negative part is penalized: main-four fields (one column per entry)
+    or shared ones (one per group).
     """
     wc, wj, wp = value(rates)
     fv, rv = value(fac), value(rd)
@@ -262,7 +307,8 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
     d = ac - aj
     co2 = ws.co2_curves
     n = ws.n_points
-    p_cjp = p_tpu = p_corr = p_nn = 0.0
+    p_cjp = p_tpu = p_nn = np.zeros(ws.n_groups)
+    p_corr = np.zeros(ws.n_groups)
 
     def a_p(idx):
         # A_p is read at a few points only
@@ -274,7 +320,7 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
         ajj, acj = aj[jc], ac[jc]
         take_j = ajj >= acj
         z_cjp = np.where(take_j, ajj, acj) - np.where(valid[jc], a_p(jc), _BIG)
-        p_cjp = _relu(z_cjp).sum()
+        p_cjp = _group_sum(_relu(z_cjp), ws.co2_spans)
 
     nd = 0.0 - d
     pos_d, pos_nd = d > 0.0, nd > 0.0
@@ -282,20 +328,20 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
                                          ws.seg_starts)
     z_lt = config.beta - np.add.reduceat(np.where(pos_nd, nd, 0.0),
                                          ws.seg_starts)
-    p_cgj = _relu(z_gt).sum()
-    p_clj = _relu(z_lt).sum()
+    p_cgj = _group_sum(_relu(z_gt), ws.curve_spans)
+    p_clj = _group_sum(_relu(z_lt), ws.curve_spans)
 
     tpu_on = config.tpu_penalty and co2.shape[0]
     if tpu_on:
         last = ws.last_flat[co2]
         ok = valid[last].astype(np.float64)
         z_tpu = a_p(last) - aj[last]
-        p_tpu = (_relu(z_tpu) * ok).sum()
+        p_tpu = _group_sum(_relu(z_tpu) * ok, ws.co2_spans)
 
     corr = []
     if vcmax25 is not None:
         xs, ys = value(vcmax25), value(jmax25)
-        for _, entries in ws.corr_groups:
+        for gi, entries in ws.corr_groups:
             x, y = xs[entries], ys[entries]
             if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
                 continue  # undefined correlation; penalty skipped
@@ -305,30 +351,38 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
             sxx, syy = (xc * xc).sum(), (yc * yc).sum()
             den = np.sqrt(sxx * syy)
             r = (xc * yc).sum() / den
-            p_corr = p_corr + _relu(0.7 - r)
-            corr.append((entries, m, xc, yc, sxx, syy, den, r))
+            # one correlation group per fitting group
+            p_corr[gi] = _relu(0.7 - r)
+            corr.append((gi, entries, m, xc, yc, sxx, syy, den, r))
 
-    for term in nonneg:
-        p_nn = p_nn + _relu(0.0 - value(term)).sum()
+    # the columns of each nonneg term, their groups and the groups' spans
+    cols = [(ws.entry_group, ws.entry_spans)
+            if value(t).shape == ws.entry_group.shape
+            else (np.arange(ws.n_groups), ws.column_spans) for t in nonneg]
+    for term, (_, spans) in zip(nonneg, cols):
+        p_nn = p_nn + _group_sum(_relu(0.0 - value(term)), spans)
 
     pens = np.array([p_cjp, p_cgj, p_clj, p_tpu, p_corr, p_nn])
 
     def vjp(g):
         # d <- (relu(d), relu(0 - d)) through the per-curve margin sums
-        g_d = (np.repeat(-(g[1] * (z_gt > 0.0)), ws.seg_lengths) * pos_d
-               - np.repeat(-(g[2] * (z_lt > 0.0)), ws.seg_lengths) * pos_nd)
+        cg = ws.curve_group
+        g_d = (np.repeat(-(g[1][cg] * (z_gt > 0.0)), ws.seg_lengths)
+               * pos_d
+               - np.repeat(-(g[2][cg] * (z_lt > 0.0)), ws.seg_lengths)
+               * pos_nd)
         # A_j <- (closest-point max, d, last point); A_c <- (max, d);
         # A_p <- (closest point, last point)
         g_aj = -g_d
         g_ac = g_d.copy()
         g_ap = np.zeros(n)
         if co2.shape[0]:
-            g_hi = g[0] * (z_cjp > 0.0)
+            g_hi = g[0][ws.co2_group] * (z_cjp > 0.0)
             g_aj[jc] += g_hi * take_j
             g_ac[jc] += g_hi * ~take_j
             g_ap[jc] = -g_hi * valid[jc]
         if tpu_on:
-            g_last = g[3] * ok * (z_tpu > 0.0)
+            g_last = g[3][ws.co2_group] * ok * (z_tpu > 0.0)
             g_aj[last] += -g_last
             g_ap[last] += g_last
         g_rates = np.empty((3, n))
@@ -339,8 +393,8 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
         g_x = g_y = None
         if corr:
             g_x, g_y = np.zeros(xs.shape[0]), np.zeros(ys.shape[0])
-        for entries, m, xc, yc, sxx, syy, den, r in corr:
-            g_r = -(g[4] * (0.7 - r > 0.0))
+        for gi, entries, m, xc, yc, sxx, syy, den, r in corr:
+            g_r = -(g[4][gi] * (0.7 - r > 0.0))
             g_num = g_r / den
             g_prod = 0.5 * (-g_r * r / den) / den if den > 0.0 else 0.0
             for out, a, b, g_aa in ((g_x, xc, yc, g_prod * syy),
@@ -348,7 +402,8 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
                 g_a = g_num * b + g_aa * a + g_aa * a
                 out[entries] = g_a + (-g_a).sum() / m
         return ([g_rates, -g_ac, -g_ap, -g_aj] + g_fac + [g_x, g_y]
-                + [-(g[5] * (0.0 - value(t) > 0.0)) for t in nonneg])
+                + [-(g[5][grp] * (0.0 - value(t) > 0.0))
+                   for t, (grp, _) in zip(nonneg, cols)])
 
     return fuse(pens, [rates, rd, rd, rd, fac, fac, fac, vcmax25, jmax25]
                 + list(nonneg), vjp)
@@ -357,8 +412,10 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
 def _objective(ws: Workspace, rates, fac, rd, pens):
     """The MSE of A = min(Wc, Wj, Wp) * fac - rd plus the penalties.
 
-    One node; returns (total, mse, pred). On light-response curves Wp
-    takes part in the minimum but receives no gradient.
+    One node; returns (total, mse, pred), total and mse with one entry
+    per group. Each group's MSE is divided by its own point count. On
+    light-response curves Wp takes part in the minimum but receives no
+    gradient.
     """
     wc, wj, wp = value(rates)
     fv, rv = value(fac), value(rd)
@@ -368,13 +425,13 @@ def _objective(ws: Workspace, rates, fac, rd, pens):
     w = np.where(take_cj, wcj, wp)
     pred = w * fv - rv
     resid = pred - ws.a
-    n = float(ws.n_points)
-    mse = (resid * resid).sum() / n
+    n = ws.group_n
+    mse = _group_sum(resid * resid, ws.pt_spans) / n
     p = value(pens)
     total = mse + p[0] + p[1] + p[2] + p[3] + p[4] + p[5]
 
     def vjp(g):
-        t = g / n * resid
+        t = (g / n)[ws.pt_group] * resid
         g_pred = t + t
         g_w = g_pred * fv
         g_wcj = g_w * take_cj
@@ -385,7 +442,7 @@ def _objective(ws: Workspace, rates, fac, rd, pens):
         if ws.any_light:
             g_rates[2] *= ~ws.light_pt
         g_fac = g_pred * w if isinstance(fac, Var) else None
-        return g_rates, g_fac, -g_pred, np.broadcast_to(g, (6,))
+        return g_rates, g_fac, -g_pred, np.broadcast_to(g, (6,) + g.shape)
 
     return fuse(total, (rates, fac, rd, pens), vjp), mse, pred
 
@@ -400,7 +457,9 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
 
     Returns (total, LossBreakdown, leaves, aux) where aux carries
     per-curve diagnostics (the A_p - A_j gap at the last point, and its
-    validity) computed from forward values.
+    validity) computed from forward values, the prediction, and the
+    breakdown's terms before they are summed over groups. total has one
+    entry per group.
     """
     cn = params.constants
     r_gas = cn.r_gas
@@ -421,8 +480,10 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
     c = ws.ci
     if config.fit_gm:
         c = _site_co2(ws.ci, ws.a, gather(P("gm"), ws.pt_group))
-        if np.any(value(c) <= 0.0):
-            raise NonPositiveC("C_i - A/g_m went non-positive")
+        bad = value(c) <= 0.0
+        if bad.any():
+            raise NonPositiveC("C_i - A/g_m went non-positive",
+                               groups=np.unique(ws.pt_group[bad]).tolist())
 
     if config.temp_type >= 1:
         # Rd and the kinetic constants follow plain Arrhenius with fixed
@@ -457,7 +518,7 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
                                     big=_BIG)
     fac = _gamma_factor(gamma, c)
 
-    pens = np.zeros(6)
+    pens = np.zeros((6, ws.n_groups))
     if config.penalties:
         # only parameters the configuration actually fits are penalized
         eligible = set(fitted) if fitted \
@@ -484,17 +545,24 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
         "tpu_gap": np.where(valid[lf], w_last[2] - w_last[1], np.nan),
         "tpu_valid": valid[lf] & ~ws.is_light,
         "pred": pred,
+        "terms": (mse_value, *p, value(total)),
     }
-    breakdown = LossBreakdown(
-        mse=float(mse_value), p_cjp=float(p[0]), p_c_gt_j=float(p[1]),
-        p_c_lt_j=float(p[2]), p_j_lt_p=float(p[3]), p_corr=float(p[4]),
-        p_nonneg=float(p[5]), total=float(value(total)))
-    return total, breakdown, leaves, aux
+    return total, _breakdown(aux["terms"]), leaves, aux
+
+
+def _breakdown(terms) -> LossBreakdown:
+    """LossBreakdown of (mse, six penalties, total), each term summed
+    over the groups in group order."""
+    return LossBreakdown(*(sum(t.tolist()) for t in terms))
 
 
 def total_loss(dataset: Dataset, params: ParameterState,
                config: FitConfig | None = None) -> LossBreakdown:
-    """Evaluate the full objective over a dataset."""
+    """Evaluate the full objective over a dataset.
+
+    On several fitting groups each term is the sum, in group order, of
+    the terms each group has on its own.
+    """
     config = config or FitConfig()
     ws = Workspace(dataset, params)
     _, breakdown, _, _ = _evaluate(ws, params, config)

@@ -27,7 +27,7 @@ from .errors import DivergenceError, FvcbError, NonPositiveC, ZeroVariance
 from .loss import LossBreakdown, Workspace, _evaluate
 from .metrics import CurveMetrics, r_squared, rmse
 from .model import predict_curve
-from .params import FitConfig, ParameterState, fitted_fields
+from .params import MAIN_FOUR, FitConfig, ParameterState, fitted_fields
 
 __all__ = ["AdamState", "PointPrediction", "FitResult", "init_parameters",
            "adam_step", "fit", "split_by_group", "fit_groups"]
@@ -46,30 +46,63 @@ STALL_DECAY = 0.1
 
 @dataclass
 class AdamState:
-    """Moment estimates and step-size settings for one run."""
+    """Moment estimates and step-size settings for one run.
+
+    The run may hold several independent problems: group maps each
+    coordinate to its problem, and t and lr hold one value per problem.
+    """
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
-    lr: float = 0.08
+    t: np.ndarray
+    lr: np.ndarray
+    group: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def zeros(cls, n: int, lr: float = 0.08) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), lr=lr)
+    def zeros(cls, n: int, lr: float = 0.08, group=None) -> "AdamState":
+        """Fresh state; without group every coordinate is one problem."""
+        if group is None:
+            group = np.zeros(n, dtype=np.intp)
+        k = int(group.max()) + 1
+        return cls(m=np.zeros(n), v=np.zeros(n), t=np.zeros(k, dtype=np.intp),
+                   lr=np.full(k, float(lr)), group=group)
+
+    def restart(self, problems: np.ndarray, decay: float) -> None:
+        """Fresh moments for the flagged problems, their step times decay."""
+        coords = problems[self.group]
+        self.m[coords] = 0.0
+        self.v[coords] = 0.0
+        self.t[problems] = 0
+        self.lr[problems] *= decay
 
 
-def adam_step(state: AdamState, values: np.ndarray,
-              grad: np.ndarray) -> np.ndarray:
-    """One bias-corrected update; mutates `state`, returns new values."""
-    state.t += 1
+def adam_step(state: AdamState, values: np.ndarray, grad: np.ndarray,
+              live: np.ndarray | None = None) -> np.ndarray:
+    """One bias-corrected update; mutates `state`, returns new values.
+
+    Only the problems flagged in `live` (default: all) take the step;
+    the coordinates of the others keep their values, and their moments
+    are not to be read again until a restart.
+    """
+    if live is None:
+        live = np.ones(state.t.shape[0], dtype=bool)
+    state.t[live] += 1
+    # bias corrections per problem in Python floats: numpy's power of an
+    # array can differ from Python's in the last bit
+    c1 = np.array([1.0 - state.beta1 ** t if t else 1.0
+                   for t in state.t.tolist()])
+    c2 = np.array([1.0 - state.beta2 ** t if t else 1.0
+                   for t in state.t.tolist()])
+    gi = state.group
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = state.m / (1.0 - state.beta1 ** state.t)
-    vhat = state.v / (1.0 - state.beta2 ** state.t)
-    return values - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    mhat = state.m / c1[gi]
+    vhat = state.v / c2[gi]
+    new = values - state.lr[gi] * mhat / (np.sqrt(vhat) + state.eps)
+    return np.where(live[gi], new, values)
 
 
 @dataclass(frozen=True)
@@ -92,6 +125,12 @@ class FitResult:
     built on first use. loss_history[0] is the loss at the initial
     parameters; final_loss belongs to the returned (best seen)
     parameters.
+
+    On a dataset of several fitting groups, loss_history, initial_loss,
+    final_loss and breakdown are sums over the groups, iterations_run is
+    the most any group ran, and groups holds one FitResult per group, in
+    ascending group order, each as fit() returns it for that group
+    alone. groups is empty for a single group.
     """
 
     params: ParameterState
@@ -105,6 +144,7 @@ class FitResult:
     initial_loss: float
     final_loss: float
     breakdown: LossBreakdown
+    groups: tuple = ()
 
     @functools.cached_property
     def predictions(self) -> tuple:
@@ -125,17 +165,26 @@ def init_parameters(dataset: Dataset, config: FitConfig | None = None,
 
 
 class _Packing:
-    """Maps the fitted fields of a ParameterState to one flat vector."""
+    """Maps the fitted fields of a ParameterState to one flat vector.
 
-    def __init__(self, params: ParameterState, fields: tuple):
+    group holds the fitting group of each coordinate; entry_group maps a
+    main-four column to its group.
+    """
+
+    def __init__(self, params: ParameterState, fields: tuple,
+                 entry_group: np.ndarray):
         self.fields = fields
         self.slices = {}
+        groups = []
         off = 0
         for name in fields:
             k = getattr(params, name).shape[0]
             self.slices[name] = slice(off, off + k)
+            groups.append(entry_group if name in MAIN_FOUR
+                          else np.arange(k, dtype=np.intp))
             off += k
         self.size = off
+        self.group = np.concatenate(groups)
 
     def pack(self, params: ParameterState) -> np.ndarray:
         flat = np.empty(self.size)
@@ -177,20 +226,42 @@ def _project(flat: np.ndarray, packing: _Packing, params: ParameterState,
 
 def fit(dataset: Dataset, config: FitConfig | None = None,
         params0: ParameterState | None = None, callback=None) -> FitResult:
-    """Fit the model to every curve of a dataset jointly.
+    """Fit the model to every curve of a dataset.
+
+    Each fitting group is an independent problem: groups share no
+    parameter, and each group's loss is its own MSE, divided by its own
+    point count, plus its own penalties. All groups run in one shared
+    loop, one evaluation and one backward pass per iteration, and each
+    group ends with the bits it would have when fitted alone. Best-seen
+    parameters, the stall rule, Adam's step count and step size, and
+    early stop are kept per group; a group that stops early is frozen,
+    and the loop ends when every group has stopped or at max_iter. A
+    light-only group beside CO2 groups carries the TPU fields it does
+    not fit alone; they get no gradient and keep their start values,
+    unless params0 starts them outside the projection bounds or, under a
+    temperature response, with a negative dha_tpu.
 
     config.lr is the starting step. After STALL_PATIENCE iterations in
-    which the best-seen loss has not improved, the loop returns to the
-    best-seen parameters and starts a fresh Adam state whose step is the
-    current one times STALL_DECAY; that iteration takes no step, and the
-    next one steps from the best point. Restarts use up no extra
-    iterations: without early stop the loop always runs max_iter.
+    which a group's best-seen loss has not improved, the group returns
+    to its best-seen parameters and starts a fresh Adam state whose step
+    is the current one times STALL_DECAY; that iteration takes no step
+    for the group, and the next one steps from the best point. Restarts
+    use up no extra iterations: without early stop the loop always runs
+    max_iter.
+
+    After the loop the endpoint is evaluated and competes for best. A
+    group whose C goes non-positive there (under fit_gm) keeps its best
+    point and its history gets no endpoint entry, as when it is fitted
+    alone; the summed history then gets none either.
 
     callback, if given, is invoked as callback(iteration, loss) once per
-    iteration (iteration counts from 1).
+    iteration (iteration counts from 1), with the loss summed over the
+    groups.
 
-    Raises DivergenceError when the loss or gradient turns NaN/Inf; the
-    best parameters reached so far travel on the exception.
+    Raises DivergenceError when a group's loss or gradient turns
+    NaN/Inf, or its C goes non-positive inside the loop; the whole fit
+    stops, and the best parameters reached so far travel on the
+    exception.
     """
     config = config or FitConfig()
     for c in dataset.curves:
@@ -201,75 +272,112 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
         else init_parameters(dataset, config)
     ws = Workspace(dataset, params)
     fields = fitted_fields(config, ws.light_only)
-    packing = _Packing(params, fields)
+    packing = _Packing(params, fields, ws.entry_group)
     flat = packing.pack(params)
-    state = AdamState.zeros(packing.size, lr=config.lr)
+    k = ws.n_groups
+    state = AdamState.zeros(packing.size, lr=config.lr, group=packing.group)
+    coords = [np.flatnonzero(packing.group == gi) for gi in range(k)]
 
-    history = []
-    best_loss = np.inf
+    history = []                 # the loss summed over groups
+    hist = [[] for _ in range(k)]
+    best_loss = [np.inf] * k
     best_flat = flat.copy()
-    since_best = 0
-    streak = 0
-    steps = 0
+    since_best = [0] * k
+    streak = [0] * k
+    steps = [0] * k
+    running = list(range(k))     # groups not stopped early
 
     def diverged(msg, it):
         good = None
-        if np.isfinite(best_loss):
+        if np.all(np.isfinite(best_loss)):
             packing.unpack(best_flat, params)
             good = params.copy()
         return DivergenceError(msg, last_good=good, iteration=it)
 
     for it in range(config.max_iter):
         try:
-            total, breakdown, leaves, _ = _evaluate(ws, params, config, fields)
+            total, breakdown, leaves, aux = _evaluate(ws, params, config,
+                                                      fields)
         except NonPositiveC:
             if it == 0:
                 raise
             raise diverged("g_m substitution left no positive C", it) from None
-        loss = breakdown.total
-        if not np.isfinite(loss):
-            raise diverged(f"loss became {loss}", it)
-        history.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_flat = flat.copy()
-            since_best = 0
-        else:
-            since_best += 1
+        losses = aux["terms"][-1].tolist()
+        live, restart, stopped = [], [], []
+        for gi in running:
+            loss = losses[gi]
+            if not np.isfinite(loss):
+                raise diverged(f"loss became {loss}", it)
+            h = hist[gi]
+            h.append(loss)
+            if loss < best_loss[gi]:
+                best_loss[gi] = loss
+                best_flat[coords[gi]] = flat[coords[gi]]
+                since_best[gi] = 0
+            else:
+                since_best[gi] += 1
+            if config.early_stop and it > 0:
+                prev = h[-2]
+                rel = abs(loss - prev) / max(abs(prev), 1e-12)
+                streak[gi] = streak[gi] + 1 if rel < config.early_stop_rtol \
+                    else 0
+                if streak[gi] >= config.early_stop_patience:
+                    steps[gi] = it
+                    stopped.append(gi)
+                    continue
+            steps[gi] = it + 1
+            if since_best[gi] >= STALL_PATIENCE:
+                since_best[gi] = 0
+                restart.append(gi)
+            else:
+                live.append(gi)
+        history.append(breakdown.total)
         if callback is not None:
-            callback(it + 1, loss)
-        if config.early_stop and it > 0:
-            prev = history[-2]
-            rel = abs(loss - prev) / max(abs(prev), 1e-12)
-            streak = streak + 1 if rel < config.early_stop_rtol else 0
-            if streak >= config.early_stop_patience:
-                steps = it
+            callback(it + 1, breakdown.total)
+        if stopped:
+            running = [gi for gi in running if gi not in stopped]
+            if not running:
                 break
-        if since_best >= STALL_PATIENCE:
-            flat = best_flat.copy()
-            packing.unpack(flat, params)
-            state = AdamState.zeros(packing.size, lr=state.lr * STALL_DECAY)
-            since_best = 0
-            steps = it + 1
-            continue
-        grads = engine.grad(total, [leaves[name] for name in fields])
-        g = np.concatenate(grads)
-        if not np.all(np.isfinite(g)):
-            raise diverged("gradient became non-finite", it)
-        flat = adam_step(state, flat, g)
-        _project(flat, packing, params, config)
+        if live:
+            g = np.concatenate(engine.grad(total, [leaves[name]
+                                                   for name in fields]))
+            mask = np.zeros(k, dtype=bool)
+            mask[live] = True
+            g = np.where(mask[packing.group], g, 0.0)
+            if not np.all(np.isfinite(g)):
+                raise diverged("gradient became non-finite", it)
+            flat = adam_step(state, flat, g, mask)
+            _project(flat, packing, params, config)
+        if restart:
+            for gi in restart:
+                flat[coords[gi]] = best_flat[coords[gi]]
+            mask = np.zeros(k, dtype=bool)
+            mask[restart] = True
+            state.restart(mask, STALL_DECAY)
         packing.unpack(flat, params)
-        steps = it + 1
 
-    # evaluate the endpoint too; it competes for best
+    # evaluate the endpoint too; it competes for best. A group whose C
+    # goes non-positive there weighs no endpoint: it returns to its best
+    # point, and the others are evaluated again without it
+    ends = range(k)
     try:
-        _, endb, _, _ = _evaluate(ws, params, config)
+        _, endb, _, aux = _evaluate(ws, params, config)
         history.append(endb.total)
-        if np.isfinite(endb.total) and endb.total < best_loss:
-            best_loss = endb.total
-            best_flat = flat.copy()
-    except NonPositiveC:
-        pass
+    except NonPositiveC as e:
+        ends = [gi for gi in ends if gi not in e.groups]
+        if ends:
+            for gi in e.groups:
+                flat[coords[gi]] = best_flat[coords[gi]]
+            packing.unpack(flat, params)
+            _, _, _, aux = _evaluate(ws, params, config)
+    if ends:
+        losses = aux["terms"][-1].tolist()
+        for gi in ends:
+            loss = losses[gi]
+            hist[gi].append(loss)
+            if np.isfinite(loss) and loss < best_loss[gi]:
+                best_loss[gi] = loss
+                best_flat[coords[gi]] = flat[coords[gi]]
 
     packing.unpack(best_flat, params)
     _, breakdown, _, aux = _evaluate(ws, params, config)
@@ -305,12 +413,37 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
         "a_predicted": np.concatenate(a_pred),
         "state": np.concatenate(state),
     }
-    return FitResult(params=params, config=config, curve_metrics=metrics,
-                     points=points,
-                     loss_history=np.asarray(history),
-                     tpu_stage=tpu_stage, tpu_gap=tpu_gap,
-                     iterations_run=steps, initial_loss=float(history[0]),
-                     final_loss=float(best_loss), breakdown=breakdown)
+    res = FitResult(params=params, config=config, curve_metrics=metrics,
+                    points=points, loss_history=np.asarray(history),
+                    tpu_stage=tpu_stage, tpu_gap=tpu_gap,
+                    iterations_run=max(steps),
+                    initial_loss=float(history[0]),
+                    final_loss=float(sum(best_loss)), breakdown=breakdown)
+    if k > 1:
+        res.groups = tuple(
+            _group_result(res, ws, gi, hist[gi], steps[gi], best_loss[gi],
+                          LossBreakdown(*(float(t[gi])
+                                          for t in aux["terms"])))
+            for gi in range(k))
+    return res
+
+
+def _group_result(res: FitResult, ws: Workspace, gi: int, hist: list,
+                  steps: int, best_loss: float,
+                  breakdown: LossBreakdown) -> FitResult:
+    """The part of a stacked fit's result that belongs to group gi."""
+    pa, pb = ws.pt_spans[gi]
+    params = res.params.select_group(gi)
+    ids = params.curve_ids
+    return FitResult(
+        params=params, config=res.config,
+        curve_metrics={cid: res.curve_metrics[cid] for cid in ids},
+        points={name: col[pa:pb] for name, col in res.points.items()},
+        loss_history=np.asarray(hist),
+        tpu_stage={cid: res.tpu_stage[cid] for cid in ids},
+        tpu_gap={cid: res.tpu_gap[cid] for cid in ids},
+        iterations_run=steps, initial_loss=float(hist[0]),
+        final_loss=float(best_loss), breakdown=breakdown)
 
 
 def split_by_group(dataset: Dataset) -> list:
@@ -333,13 +466,18 @@ def fit_groups(dataset: Dataset, config: FitConfig | None = None,
     """Fit each fitting group independently; returns one result per group.
 
     Groups are separate estimation problems (parameters are never shared
-    across them), so they can run in parallel. callback only applies to
-    sequential runs.
+    across them). With jobs=1 one fit() call runs them all in one shared
+    loop and its result is split per group; each part equals fit() of
+    that group alone, bit for bit, unless some group diverges, which
+    stops them all. With jobs > 1 each group is fitted in a worker
+    process of its own. callback only applies to jobs=1, where it sees
+    the loss summed over the groups.
     """
     config = config or FitConfig()
-    parts = split_by_group(dataset)
-    if jobs > 1 and len(parts) > 1:
+    if jobs > 1 and len(dataset.groups) > 1:
         import concurrent.futures  # only parallel runs pay for the import
+        parts = split_by_group(dataset)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(_fit_one, [(d, config) for _, d in parts]))
-    return [fit(d, config, callback=callback) for _, d in parts]
+    res = fit(dataset, config, callback=callback)
+    return list(res.groups) or [res]

@@ -164,6 +164,24 @@ class ParameterState:
         return replace(self, entry_of=self.entry_of.copy(),
                        group_of=self.group_of.copy(), **arrays)
 
+    def select_group(self, gi: int) -> "ParameterState":
+        """Fitting group gi (an index into group_ids) as a state of its
+        own, shaped as for a dataset of that group alone."""
+        curves = np.flatnonzero(self.group_of == gi)
+        a, b = int(curves[0]), int(curves[-1]) + 1
+        entries = self.entry_of[a:b]
+        ea, eb = int(entries[0]), int(entries[-1]) + 1
+        n = b - a
+        arrays = {name: getattr(self, name)[ea:eb].copy()
+                  for name in MAIN_FOUR}
+        arrays.update({name: getattr(self, name)[gi:gi + 1].copy()
+                       for name in SHARED_FIELDS})
+        return replace(self, curve_ids=self.curve_ids[a:b],
+                       group_ids=(self.group_ids[gi],),
+                       entry_of=np.zeros(n, dtype=np.intp) if self.onefit
+                       else np.arange(n, dtype=np.intp),
+                       group_of=np.zeros(n, dtype=np.intp), **arrays)
+
     def entry_label(self, idx: int) -> str:
         """Human-readable id of a main-four column."""
         if self.onefit:

@@ -84,7 +84,7 @@ def test_divergence_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     def boom(*a, **k):
         raise DivergenceError("blew up")
 
-    monkeypatch.setattr(cli, "fit", boom)
+    monkeypatch.setattr(cli, "fit_groups", boom)
     assert run(["fit", data, "-q"]) == 3
     assert "diverged" in capsys.readouterr().err
 

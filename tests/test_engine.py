@@ -29,18 +29,21 @@ def fd_grad(f, x, h=1e-6):
 
 
 def total(x, w=None):
-    """Weighted sum to a scalar, as one fused node."""
+    """Weighted sum to a scalar, as one fused node; w weighs the leading
+    axes of x (the six penalty terms of a (6, groups) block, say)."""
     xv = value(x)
     w = np.ones_like(xv) if w is None else np.asarray(w, dtype=np.float64)
+    w = w.reshape(w.shape + (1,) * (xv.ndim - w.ndim))
     return fuse((xv * w).sum(), (x,), lambda g: (g * w,))
 
 
 def check_against_fd(build, x0, rtol=1e-6, atol=1e-9):
-    """build(x) must work for both a Var and a plain array."""
+    """build(x) must work for both a Var and a plain array; the gradient
+    is that of the sum of the root's entries."""
     leaf = Var(x0)
     out = build(leaf)
     (ga,) = grad(out, [leaf])
-    gn = fd_grad(lambda x: float(value(build(x))), x0)
+    gn = fd_grad(lambda x: float(value(build(x)).sum()), x0)
     np.testing.assert_allclose(ga, gn, rtol=rtol, atol=atol)
 
 

@@ -5,13 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fvcbfit.optimizer as optimizer
 from fvcbfit.data_io import Dataset
+from fvcbfit.engine import Var
 from fvcbfit.errors import DivergenceError, FvcbError
+from fvcbfit.loss import total_loss
 from fvcbfit.model import peaked_arrhenius
 from fvcbfit.optimizer import (
-    AdamState, adam_step, fit, fit_groups, init_parameters, split_by_group,
+    STALL_PATIENCE, AdamState, adam_step, fit, fit_groups, init_parameters,
+    split_by_group,
 )
-from fvcbfit.params import FitConfig, ParameterState
+from fvcbfit.params import MAIN_FOUR, SHARED_FIELDS, FitConfig, ParameterState
 from fvcbfit.synth import generate_dataset
 
 
@@ -272,3 +276,221 @@ def test_fit_groups_matches_independent_fits():
     np.testing.assert_array_equal(results[1].params.vcmax25,
                                   solo.params.vcmax25)
     assert results[1].final_loss == solo.final_loss
+
+
+# --- fitting groups as one stacked problem ------------------------------
+
+def merge_groups(*parts):
+    """One dataset from (dataset, group id) parts; curve ids renumbered
+    in order of appearance."""
+    curves, groups = [], {}
+    for ds, gid in parts:
+        for c in ds.curves:
+            cid = len(curves)
+            curves.append(replace(c, curve_id=cid, fitting_group=gid))
+            groups.setdefault(gid, []).append(cid)
+    return Dataset(curves=tuple(curves), groups=dict(sorted(groups.items())))
+
+
+def assert_same_fit(a, b):
+    pa, pb = a.params, b.params
+    assert (pa.curve_ids, pa.group_ids, pa.onefit) == \
+        (pb.curve_ids, pb.group_ids, pb.onefit)
+    for name in ("entry_of", "group_of") + MAIN_FOUR + SHARED_FIELDS:
+        np.testing.assert_array_equal(getattr(pa, name), getattr(pb, name),
+                                      err_msg=name)
+    np.testing.assert_array_equal(a.loss_history, b.loss_history)
+    assert a.initial_loss == b.initial_loss
+    assert a.final_loss == b.final_loss
+    assert a.iterations_run == b.iterations_run
+    assert a.breakdown == b.breakdown
+    assert a.points.keys() == b.points.keys()
+    for name in a.points:
+        np.testing.assert_array_equal(a.points[name], b.points[name],
+                                      err_msg=name)
+    assert a.curve_metrics == b.curve_metrics
+    assert a.tpu_stage == b.tpu_stage
+
+
+def stacked_and_alone(ds, cfg):
+    """fit() of the whole dataset, and of each of its groups alone."""
+    res = fit(ds, cfg)
+    assert len(res.groups) == len(ds.groups)
+    alone = [fit(sub, cfg) for _, sub in split_by_group(ds)]
+    for part, solo in zip(res.groups, alone):
+        assert_same_fit(part, solo)
+    return res, alone
+
+
+def first_stall(history):
+    """The first iteration that ends a run of STALL_PATIENCE iterations
+    without a new best, which restarts Adam; None if there is none."""
+    best, since = np.inf, 0
+    for it, loss in enumerate(history[:-1]):
+        since = 0 if loss < best else since + 1
+        best = min(best, loss)
+        if since >= STALL_PATIENCE:
+            return it
+    return None
+
+
+TRUTH = ParameterState.single()
+
+
+def aci(n=1, seed=0, **kw):
+    return generate_dataset(TRUTH, n_curves=n, noise_sd=0.5, seed=seed,
+                            jitter=True, **kw)[0]
+
+
+def light_temp_group(cfg, temps, seed):
+    """A/Ci curves at the given temperatures plus one A-Q curve."""
+    grids = [dict(tleaf_c=t) for t in temps]
+    grids.append(dict(q_grid=np.linspace(20.0, 2000.0, 30)))
+    curves = [replace(generate_dataset(TRUTH, config=cfg, noise_sd=0.5,
+                                       seed=seed + i, jitter=True,
+                                       **g)[0].curves[0], curve_id=i)
+              for i, g in enumerate(grids)]
+    return Dataset(curves=tuple(curves), groups={0: list(range(len(grids)))})
+
+
+def test_fit_groups_makes_one_traceable_fit_call(monkeypatch):
+    # fit_groups looks fit up on its module at call time, once, with the
+    # whole dataset; the result carries a float history and final loss,
+    # and each iteration builds one graph with `fitted` passed as the
+    # fourth positional argument of _evaluate
+    calls, evals, grads = [], [], []
+    real_fit, real_eval = optimizer.fit, optimizer._evaluate
+    real_grad = optimizer.engine.grad
+
+    def counting_fit(*args, **kwargs):
+        out = real_fit(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    def recording_eval(*args, **kwargs):
+        out = real_eval(*args, **kwargs)
+        evals.append((args, kwargs, out))
+        return out
+
+    def counting_grad(*args, **kwargs):
+        grads.append(args)
+        return real_grad(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "fit", counting_fit)
+    monkeypatch.setattr(optimizer, "_evaluate", recording_eval)
+    monkeypatch.setattr(optimizer.engine, "grad", counting_grad)
+    ds = two_group_dataset()
+    results = fit_groups(ds, FitConfig(max_iter=20))
+    assert len(results) == 2
+    assert len(calls) == 1
+    (args, out), = calls
+    assert args[0] is ds
+    assert isinstance(out.loss_history, np.ndarray)
+    assert out.loss_history.ndim == 1 and out.loss_history.dtype.kind == "f"
+    assert type(out.final_loss) is float
+    graphs = [out for args, kwargs, out in evals
+              if len(args) > 3 and args[3]]
+    assert not any("fitted" in kwargs for _, kwargs, _ in evals)
+    assert len(graphs) == 20 and len(grads) == 20
+    assert all(isinstance(g[0], Var) for g in graphs)
+
+
+def test_stacked_groups_of_one_and_four_curves():
+    ds = merge_groups((aci(4, seed=200), 3), (aci(1, seed=210), 7))
+    stacked_and_alone(ds, FitConfig(max_iter=200))
+
+
+def test_stacked_light_temperature_groups():
+    cfg = FitConfig(light_type=2, temp_type=2, max_iter=150)
+    ds = merge_groups((light_temp_group(cfg, (20.0, 30.0), 300), 0),
+                      (light_temp_group(cfg, (25.0,), 310), 1))
+    stacked_and_alone(ds, cfg)
+
+
+def test_stacked_light_only_group_beside_co2_group():
+    # alone, the light-only group fits neither TPU25, alpha_g nor the TPU
+    # temperature response; beside a CO2 group they get no gradient
+    cfg = FitConfig(light_type=2, temp_type=1, max_iter=150)
+    light = generate_dataset(TRUTH, n_curves=2, config=cfg, noise_sd=0.3,
+                             q_grid=np.linspace(20.0, 2000.0, 25),
+                             seed=320)[0]
+    ds = merge_groups((aci(2, seed=330, config=cfg), 0), (light, 1))
+    res, (co2, solo) = stacked_and_alone(ds, cfg)
+    assert solo.params.tpu25[0] == res.groups[1].params.tpu25[0] == 25.0
+    assert solo.params.alpha[0] != 0.5
+
+
+def test_stacked_onefit_groups():
+    ds = merge_groups((aci(3, seed=400), 0), (aci(2, seed=410), 1))
+    stacked_and_alone(ds, FitConfig(onefit=True, max_iter=200))
+
+
+def test_stacked_correlation_penalty_group_beside_small_group():
+    ds = merge_groups((aci(7, seed=500), 0), (aci(2, seed=510), 1))
+    cfg = FitConfig(r_penalty=True, max_iter=150)
+    res, _ = stacked_and_alone(ds, cfg)
+    assert res.groups[1].breakdown.p_corr == 0.0
+
+
+def test_stacked_early_stop_freezes_each_group_on_its_own():
+    ds = merge_groups((aci(1, seed=49), 0), (aci(2, seed=60), 1))
+    cfg = FitConfig(max_iter=2000, early_stop=True, early_stop_rtol=1e-3,
+                    early_stop_patience=10)
+    res, alone = stacked_and_alone(ds, cfg)
+    stops = [r.iterations_run for r in alone]
+    assert stops[0] != stops[1] and max(stops) < 2000
+    assert res.iterations_run == max(stops)
+    assert len(res.loss_history) == max(stops) + 2
+
+
+def test_stacked_stall_restarts_each_group_on_its_own():
+    # a noiseless jittered curve beside a noisy one: both stall, at
+    # different iterations, and restart on their own
+    hard = generate_dataset(TRUTH, n_curves=10, noise_sd=0.0, jitter=True,
+                            seed=1)[0].curves[3]
+    ds = merge_groups((aci(1, seed=41), 0),
+                      (Dataset(curves=(hard,), groups={0: [3]}), 1))
+    res, alone = stacked_and_alone(ds, FitConfig(max_iter=3000))
+    stalls = [first_stall(r.loss_history) for r in alone]
+    assert None not in stalls and stalls[0] != stalls[1]
+
+
+def test_stacked_endpoint_failure_drops_only_that_groups_endpoint():
+    # one Adam step of 3 takes group 0's g_m from 3 to its floor, where
+    # C = Ci - A/g_m goes negative at the endpoint; group 1 still weighs
+    # its endpoint, as it does alone
+    ds = merge_groups((aci(1, seed=800), 0), (aci(1, seed=810), 1))
+    cfg = FitConfig(fit_gm=True, max_iter=1, lr=3.0)
+    p0 = init_parameters(ds, cfg)
+    p0.gm[:] = [3.0, 2.0]
+    res = fit(ds, cfg, params0=p0)
+    for gi, part in enumerate(res.groups):
+        assert_same_fit(part, fit(split_by_group(ds)[gi][1], cfg,
+                                  params0=p0.select_group(gi)))
+    assert [len(r.loss_history) for r in res.groups] == [1, 2]
+    assert res.groups[1].params.gm[0] != 2.0
+
+
+def test_multi_group_loss_is_the_sum_of_each_groups_loss():
+    ds = merge_groups((aci(2, seed=600), 0), (aci(1, seed=610), 1),
+                      (aci(3, seed=620), 2))
+    over = dict(vcmax25=70.0, jmax25=110.0, tpu25=9.0, rd25=-0.4)
+    whole = total_loss(ds, init_parameters(ds, **over))
+    parts = [total_loss(sub, init_parameters(sub, **over))
+             for _, sub in split_by_group(ds)]
+    for name in whole.__dataclass_fields__:
+        assert getattr(whole, name) == sum(getattr(b, name) for b in parts)
+    assert whole.p_nonneg > 0.0
+
+
+def test_adding_a_group_leaves_the_others_unchanged():
+    # each group's MSE is divided by its own point count, so a group's
+    # fit does not depend on the groups beside it
+    g0, g1 = (aci(2, seed=700), 0), (aci(1, seed=710), 1)
+    cfg = FitConfig(max_iter=120)
+    two = fit(merge_groups(g0, g1), cfg)
+    three = fit(merge_groups(g0, g1, (aci(3, seed=720), 2)), cfg)
+    assert_same_fit(two.groups[0], three.groups[0])
+    assert_same_fit(two.groups[1], three.groups[1])
+    assert three.final_loss == sum(r.final_loss for r in three.groups)
+    assert three.breakdown.total == three.final_loss
