@@ -141,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--curve-kind", type=_parse_kind, action="append",
                        default=[], metavar="ID=co2|light",
                        help="override automatic curve classification")
-    p_fit.add_argument("--jobs", type=int, default=1,
-                       help="fit groups on this many parallel workers")
-    p_fit.add_argument("--seed", type=int, default=0,
-                       help="reserved for interface uniformity; fitting "
-                            "is deterministic")
     p_fit.add_argument("-q", "--quiet", action="store_true",
                        help="suppress progress and summary output")
     _add_model_flags(p_fit)
@@ -196,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("-o", "--output", required=True)
     p_pre.add_argument("--curve-kind", type=_parse_kind, action="append",
                        default=[], metavar="ID=co2|light")
-    p_pre.add_argument("--seed", type=int, default=0,
-                       help="reserved; preprocessing is deterministic")
     p_pre.add_argument("-q", "--quiet", action="store_true")
     _add_preprocess_flags(p_pre)
 
@@ -217,7 +210,7 @@ def _run_fit(args) -> int:
         def cb(it, loss):
             if it % PROGRESS_EVERY == 0:
                 print(f"  iter {it:>6d}  loss {loss:.6g}", flush=True)
-    results = fit_groups(dataset, config, jobs=args.jobs, callback=cb)
+    results = fit_groups(dataset, config, callback=cb)
 
     if args.output:
         write_results(results, args.output, format=args.format,

@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -169,8 +169,42 @@ def _parse_int(cell: str, column: str, line: int) -> int:
 CHUNK_ROWS = 8192
 
 
+def _checked(cols):
+    """cols, or None when a value is not finite or a CurveID or
+    FittingGroup (the first two columns) is not whole."""
+    if not all(np.isfinite(c).all() for c in cols):
+        return None
+    if not all((np.trunc(c) == c).all() for c in cols[:2]):
+        return None
+    return cols
+
+
+def _columns_text(lines, picks, n_cols):
+    """The picked columns of a chunk of raw, quote-free lines, parsed by
+    numpy's C reader, blank lines skipped.
+
+    Returns None when a line needs the csv path: a ragged, short or
+    whitespace-only line, a cell numpy does not read as a float (a blank
+    one included), a non-finite value, or a CurveID or FittingGroup
+    that is not whole. numpy reads every cell it accepts to the same
+    float as float() does.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # comments=None: the default "#" would cut a cell short
+            table = np.loadtxt(lines, delimiter=",", comments=None,
+                               dtype=np.float64, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] < n_cols:
+        return None
+    return _checked([table[:, i].copy() for i in picks])
+
+
 def _columns_fast(rows, picks, n_cols):
-    """The picked columns of a chunk as float64 arrays, blank lines skipped.
+    """The picked columns of a chunk of csv rows as float64 arrays, blank
+    lines skipped.
 
     Returns None when a row needs the per-cell path: a short or
     whitespace-only row, a cell float() rejects, a non-finite value, or
@@ -188,11 +222,7 @@ def _columns_fast(rows, picks, n_cols):
                 for cells in zip(*map(itemgetter(*picks), rows))]
     except ValueError:
         return None
-    if not all(np.isfinite(c).all() for c in cols):
-        return None
-    if not all((np.trunc(c) == c).all() for c in cols[:2]):
-        return None
-    return cols
+    return _checked(cols)
 
 
 def _columns_per_cell(rows, first_line, picks, names, n_cols, group_of):
@@ -233,6 +263,16 @@ def _merge_groups(cid, grp, group_of) -> bool:
     return True
 
 
+def _csv_columns(rows, first_line, picks, names, n_cols, group_of):
+    """The picked columns of a chunk of csv rows: column-wise when every
+    row is good, else cell by cell (which raises on the first bad row)."""
+    cols = _columns_fast(rows, picks, n_cols)
+    if cols is None or not _merge_groups(cols[0], cols[1], group_of):
+        cols = _columns_per_cell(rows, first_line, picks, names, n_cols,
+                                 group_of)
+    return cols
+
+
 def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     """Parse a Table-style CSV into a Dataset.
 
@@ -245,20 +285,23 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     (Ci <= 0, Qin < 0, Tleaf outside [-10, 60] C) are dropped with a
     warning. Curves come in the order of their first row in the file.
 
-    Rows are read in chunks of CHUNK_ROWS and converted column-wise; a
-    chunk with any bad row is parsed again cell by cell, so an error
-    names the same row and says the same thing either way.
+    Lines are read in chunks of CHUNK_ROWS. A chunk without a quote
+    goes to numpy's C reader; a chunk that reader or a check rejects is
+    split by csv.reader and converted again, cell by cell if need be, so
+    an error names the same row and says the same thing either way. From
+    the first chunk with a quote on, which may open a cell that spans
+    lines, the rest of the file is read as csv rows.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file") from None
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file")
+        reader = csv.reader(chain([first], fh)) if '"' in first else None
+        header = next(reader or csv.reader([first]))
         names = [h.strip() for h in header]
         col = {name: i for i, name in enumerate(names)}
         for name in REQUIRED_COLUMNS:
@@ -267,15 +310,31 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
         picked = REQUIRED_COLUMNS + tuple(n for n in OPTIONAL_COLUMNS
                                           if n in col)
         picks = [col[name] for name in picked]
+        n_cols = len(names)
 
         chunks = []
         group_of: dict[int, int] = {}
-        line = 2
-        while rows := list(islice(reader, CHUNK_ROWS)):
-            cols = _columns_fast(rows, picks, len(names))
-            if cols is None or not _merge_groups(cols[0], cols[1], group_of):
-                cols = _columns_per_cell(rows, line, picks, picked,
-                                         len(names), group_of)
+        line = 2  # file row of the chunk's first line
+        while True:
+            if reader is None:
+                lines = list(islice(fh, CHUNK_ROWS))
+                if not lines:
+                    break
+                if any('"' in text for text in lines):
+                    reader = csv.reader(chain(lines, fh))
+                    continue
+                rows = lines  # one csv row per line without quotes
+                cols = _columns_text(lines, picks, n_cols)
+                if cols is None or not _merge_groups(cols[0], cols[1],
+                                                     group_of):
+                    cols = _csv_columns(list(csv.reader(lines)), line, picks,
+                                        picked, n_cols, group_of)
+            else:
+                rows = list(islice(reader, CHUNK_ROWS))
+                if not rows:
+                    break
+                cols = _csv_columns(rows, line, picks, picked, n_cols,
+                                    group_of)
             chunks.append(cols)
             line += len(rows)
 
@@ -343,22 +402,35 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _texts(column: np.ndarray):
-    # _fmt of every value, without a numpy scalar per value
-    return map(repr, column.tolist())
+# Rows rendered per write: bounds the cell strings held at once.
+WRITE_BLOCK_ROWS = 4096
+
+
+def _write_columns(fh, columns) -> None:
+    """Write equal-length 1-D arrays as CSV rows, WRITE_BLOCK_ROWS rows
+    per fh.write: floats by repr, other values by str.
+
+    These are the bytes csv.writer (QUOTE_MINIMAL) writes for the same
+    rows: none of these cells holds a comma, quote or line break, so
+    none is quoted, and every row ends in "\r\n".
+    """
+    n = columns[0].shape[0]
+    for lo in range(0, n, WRITE_BLOCK_ROWS):
+        cells = [map(repr if c.dtype.kind == "f" else str,
+                     c[lo:lo + WRITE_BLOCK_ROWS].tolist()) for c in columns]
+        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_dataset(dataset: Dataset, path) -> None:
     """Write raw records back out in the input CSV schema."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["CurveID", "FittingGroup", "Ci", "A", "Qin", "Tleaf"])
+            fh.write("CurveID,FittingGroup,Ci,A,Qin,Tleaf\r\n")
             for curve in dataset.curves:
-                n = curve.n_points
-                w.writerows(zip(
-                    repeat(curve.curve_id, n), repeat(curve.fitting_group, n),
-                    *(_texts(getattr(curve, name)) for name in COLUMNS)))
+                ids = [np.full(curve.n_points, str(v))
+                       for v in (curve.curve_id, curve.fitting_group)]
+                _write_columns(fh, ids + [getattr(curve, name)
+                                          for name in COLUMNS])
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -478,11 +550,7 @@ def _write_table(path: str, columns: list, rows: list) -> None:
 
 
 def _write_points(path: str, results) -> None:
-    # column-wise _write_table over each result's point arrays
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(POINT_COLUMNS)
+        fh.write(",".join(POINT_COLUMNS) + "\r\n")
         for res in results:
-            cols = (res.points[name] for name in POINT_COLUMNS)
-            w.writerows(zip(*(_texts(c) if c.dtype.kind == "f" else c.tolist()
-                              for c in cols)))
+            _write_columns(fh, [res.points[name] for name in POINT_COLUMNS])

@@ -456,28 +456,16 @@ def split_by_group(dataset: Dataset) -> list:
     return out
 
 
-def _fit_one(args):
-    dataset, config = args
-    return fit(dataset, config)
-
-
 def fit_groups(dataset: Dataset, config: FitConfig | None = None,
                jobs: int = 1, callback=None) -> list:
     """Fit each fitting group independently; returns one result per group.
 
     Groups are separate estimation problems (parameters are never shared
-    across them). With jobs=1 one fit() call runs them all in one shared
-    loop and its result is split per group; each part equals fit() of
-    that group alone, bit for bit, unless some group diverges, which
-    stops them all. With jobs > 1 each group is fitted in a worker
-    process of its own. callback only applies to jobs=1, where it sees
-    the loss summed over the groups.
+    across them). One fit() call runs them all in one shared loop and its
+    result is split per group; each part equals fit() of that group
+    alone, bit for bit, unless some group diverges, which stops them all.
+    callback sees the loss summed over the groups. jobs is accepted for
+    compatibility and has no effect.
     """
-    config = config or FitConfig()
-    if jobs > 1 and len(dataset.groups) > 1:
-        import concurrent.futures  # only parallel runs pay for the import
-        parts = split_by_group(dataset)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_fit_one, [(d, config) for _, d in parts]))
-    res = fit(dataset, config, callback=callback)
+    res = fit(dataset, config or FitConfig(), callback=callback)
     return list(res.groups) or [res]

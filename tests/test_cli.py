@@ -105,7 +105,7 @@ def test_fit_help_documents_flags(capsys):
                  "--lr", "--max-iter", "--early-stop", "--allow-negative-rd",
                  "--no-tpu-penalty", "--r-penalty", "--fit-gm",
                  "--fit-kinetics", "--curve-kind", "--points", "--format",
-                 "--jobs", "--seed", "--quiet", "--window-len",
+                 "--quiet", "--window-len",
                  "--smooth-ci-threshold", "--jump-up", "--jump-down",
                  "--min-points-factor", "--output"):
         assert flag in out, flag
@@ -227,7 +227,7 @@ def test_fit_light_curves_via_cli(tmp_path):
     assert out.exists()
 
 
-def test_fit_two_groups_parallel(tmp_path):
+def test_fit_two_groups(tmp_path):
     a = synth_file(tmp_path, "ga.csv",
                    ("--n-curves", "2", "--noise-sd", "0.5", "--seed", "1"))
     b = synth_file(tmp_path, "gb.csv",
@@ -240,10 +240,10 @@ def test_fit_two_groups_parallel(tmp_path):
     fixed = [",".join([remap[l.split(",")[0]]] + l.split(",")[1:])
              for l in lines_b]
     merged.write_text("\n".join(lines_a + fixed) + "\n")
-    out = tmp_path / "par.csv"
-    assert run(["fit", str(merged), "-q", "-o", str(out), "--jobs", "2",
+    out = tmp_path / "two.csv"
+    assert run(["fit", str(merged), "-q", "-o", str(out),
                 "--max-iter", "30"]) == 0
-    groups = (tmp_path / "par_groups.csv").read_text().splitlines()
+    groups = (tmp_path / "two_groups.csv").read_text().splitlines()
     assert len(groups) == 3  # header + one row per fitting group
     assert len(out.read_text().splitlines()) == 5
 

@@ -1,9 +1,12 @@
 """CSV input/output: parsing, defaults, validation errors, automatic
 curve classification, and result serialization."""
 
+import csv
+import io
 import json
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -391,3 +394,196 @@ def test_per_cell_path_parses_like_the_column_path(tmp_path, monkeypatch):
     monkeypatch.setattr(data_io, "_columns_fast", lambda *args: None)
     assert load() == fast
     assert [cid for cid, *_ in fast[0]] == [2, 3]
+
+
+# --- numpy's text reader against the csv path ---------------------------
+
+H6 = "CurveID,FittingGroup,Ci,A,Qin,Tleaf"
+
+
+def _base_rows():
+    # curve 1 on data lines 0-5, curve 2 on lines 6-11, one group
+    return [f"{1 + i // 6},0,{100 + 50 * i},{1 + 0.5 * i},2000,25"
+            for i in range(12)]
+
+
+def _csv(rows=None, header=H6, end="\n"):
+    return end.join([header] + (_base_rows() if rows is None else rows)) + end
+
+
+def _with(lines):
+    """The base file with data lines replaced, as {index: text}."""
+    rows = _base_rows()
+    for i, text in lines.items():
+        rows[i] = text
+    return _csv(rows)
+
+
+def _inserted(at, *texts):
+    rows = _base_rows()
+    rows[at:at] = list(texts)
+    return _csv(rows)
+
+
+def _noted(rows):
+    # a leading quoted Note column, with commas, before the picked ones
+    return _csv([f'"n{i}, x",{r}' for i, r in enumerate(rows)],
+                header="Note," + H6)
+
+
+def _multiline(bad_line=None):
+    # data lines 5-7 are one quoted cell spanning three physical lines
+    rows = [f"n{i},{r}" for i, r in enumerate(_base_rows())]
+    rows[5] = '"one\ntwo\nthree",' + _base_rows()[5]
+    if bad_line is not None:
+        rows[bad_line] = "n,2,0,bad,5,2000,25"
+    return _csv(rows, header="Note," + H6)
+
+
+READER_CASES = {
+    "crlf": (_csv(end="\r\n"), None),
+    "cr_only": (_csv(end="\r"), None),
+    "quoted_picked_cells": (_with({5: '1,0,"350","3.5",2000,25'}), None),
+    "quoted_extra_column_before_picks": (_noted(_base_rows()), None),
+    "quoted_header": (_csv(header='"CurveID",FittingGroup,Ci,A,Qin,Tleaf'),
+                      None),
+    "underscore_digits": (_with({4: "1,0,3_00,3,2000,25"}), None),
+    "tabs": (_with({3: "1\t,\t0,\t250\t,2.5,2000,25"}), None),
+    "bom_before_header": ("\ufeff" + _csv(), MissingColumn),
+    "bom_in_cell": (_with({7: "\ufeff2,0,450,4.5,2000,25"}), ParseError),
+    "trailing_commas": (_csv([r + "," for r in _base_rows()],
+                             header=H6 + ","), None),
+    "ragged_long_rows": (_with({8: "2,0,500,5,2000,25,7,8"}), None),
+    "arabic_indic_digits": (_with({2: "1,0,\u0662\u0660\u0660,2,2000,25"}),
+                            None),
+    "whitespace_only_lines": (_inserted(3, " ", "\t", ",,,,,"), None),
+    "blank_lines": (_inserted(6, "", "", "\r"), None),
+    "nan": (_with({6: "2,0,nan,4,2000,25"}), ParseError),
+    "hex": (_with({6: "2,0,0x10,4,2000,25"}), ParseError),
+    "overflow": (_with({10: "2,0,1E400,6,2000,25"}), ParseError),
+    "nul": (_with({9: "2,0,45\x000,5,2000,25"}), ParseError),
+    "plus_and_float_ids": (_with({1: "+1,+0,150,1.5,2000,25",
+                                 7: "2.0,0.0,450,4.5,2000,25"}), None),
+    "hash_in_cell": (_with({11: "2,0,650,6.5,2000,25#7"}), ParseError),
+    "short_row": (_with({6: "2,0,400,4"}), ParseError),
+    "group_conflict": (_with({10: "2,1,600,6,2000,25"}), ParseError),
+    "fractional_id": (_with({8: "2.5,0,500,5,2000,25"}), ParseError),
+    "out_of_range_rows": (_with({3: "1,0,-5,2.5,2000,25",
+                                9: "2,0,550,5.5,2000,99"}), None),
+    "multiline_cell_across_chunks": (_multiline(), None),
+    "multiline_cell_then_bad_row": (_multiline(bad_line=10), ParseError),
+}
+
+
+def _outcome(path):
+    """What load_csv makes of a file: the curves' column bytes, or the
+    error's type, text and row; and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load_csv(path)
+        except Exception as exc:
+            got = (type(exc), str(exc), getattr(exc, "row", None))
+        else:
+            got = ([(c.curve_id, c.fitting_group, c.kind,
+                     *(getattr(c, name).tobytes() for name in data_io.COLUMNS))
+                    for c in ds.curves], ds.groups)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_text_path_reads_like_the_csv_path(case, tmp_path, monkeypatch):
+    text, error = READER_CASES[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with monkeypatch.context() as m:
+        m.setattr(data_io, "_columns_text", lambda *args: None)
+        want = _outcome(str(path))
+    if error is None:
+        assert isinstance(want[0][0], list), want[0]
+    else:
+        assert want[0][0] is error, want[0]
+    for chunk in (8192, 1, 2, 3, 7):
+        monkeypatch.setattr(data_io, "CHUNK_ROWS", chunk)
+        assert _outcome(str(path)) == want, f"CHUNK_ROWS={chunk}"
+
+
+def test_clean_chunks_take_the_text_path(tmp_path, monkeypatch):
+    taken = []
+    text_path = data_io._columns_text
+
+    def spy(*args):
+        cols = text_path(*args)
+        taken.append(cols is not None)
+        return cols
+
+    monkeypatch.setattr(data_io, "_columns_text", spy)
+    monkeypatch.setattr(data_io, "CHUNK_ROWS", 5)
+    ds = load_csv(write_text(tmp_path / "clean.csv", _csv(end="\r\n")))
+    assert taken == [True, True, True]
+    assert [c.n_points for c in ds.curves] == [6, 6]
+
+
+# --- block writers against csv.writer ------------------------------------
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _floats(n, seed):
+    edge = [-0.0, 1e-05, 1e+16, 5e-324]
+    x = np.random.default_rng(seed).normal(0.0, 300.0, n)
+    x[:min(n, 4)] = edge[:n]
+    return x
+
+
+BLOCK = data_io.WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_write_points_matches_csv_writer(n, tmp_path):
+    results = []
+    for k, cid in enumerate((3, 8)):
+        states = np.array(list("cjp"))[np.arange(n) % 3]
+        results.append(SimpleNamespace(points={
+            "curve_id": np.full(n, cid, dtype=np.int64),
+            "ci": _floats(n, 10 * k), "a_measured": _floats(n, 10 * k + 1),
+            "a_predicted": _floats(n, 10 * k + 2), "state": states}))
+    path = tmp_path / "points.csv"
+    data_io._write_points(str(path), results)
+    rows = [row for res in results for row in zip(
+        *(res.points[name].tolist() for name in data_io.POINT_COLUMNS))]
+    assert len(rows) == 2 * n
+    assert path.read_bytes() == _csv_writer_text(
+        data_io.POINT_COLUMNS, rows).encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_write_dataset_matches_csv_writer(n, tmp_path):
+    curves = tuple(
+        ResponseCurve(cid, grp, *(_floats(m, 4 * cid + j) for j in range(4)),
+                      kind=CurveKind.CO2Response)
+        for cid, grp, m in ((5, 2, n), (6, 2, 3), (11, 0, n)))
+    ds = Dataset(curves=curves, groups={0: [11], 2: [5, 6]})
+    path = tmp_path / "data.csv"
+    write_dataset(ds, str(path))
+    rows = [(c.curve_id, c.fitting_group, *row) for c in curves
+            for row in zip(*(getattr(c, name).tolist()
+                             for name in data_io.COLUMNS))]
+    assert path.read_bytes() == _csv_writer_text(
+        ["CurveID", "FittingGroup", "Ci", "A", "Qin", "Tleaf"], rows).encode()
+
+
+def test_write_points_of_a_multi_group_fit_matches_csv_writer(two_group_fits,
+                                                             tmp_path):
+    path = tmp_path / "points.csv"
+    data_io._write_points(str(path), two_group_fits)
+    rows = [row for res in two_group_fits for row in zip(
+        *(res.points[name].tolist() for name in data_io.POINT_COLUMNS))]
+    assert len(two_group_fits) == 2
+    assert path.read_bytes() == _csv_writer_text(
+        data_io.POINT_COLUMNS, rows).encode()
