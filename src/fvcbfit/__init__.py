@@ -22,8 +22,7 @@ from .loss import (LossBreakdown, find_jc_index, mse, penalty_cjp,
                    penalty_tpu_transition, penalty_vj_correlation, total_loss)
 from .metrics import CurveMetrics, pearson_r, r_squared, rmse
 from .model import (arrhenius, electron_transport, limitation_rates,
-                    net_assimilation, peaked_arrhenius, predict_curve,
-                    topt_from_entropy)
+                    net_assimilation, peaked_arrhenius, predict_curve)
 from .optimizer import (AdamState, FitResult, PointPrediction, adam_step,
                         fit, fit_groups, init_parameters, split_by_group)
 from .params import FitConfig, ParameterState, fitted_fields
@@ -47,9 +46,8 @@ __all__ = [
     "penalty_intersections", "penalty_tpu_transition",
     "penalty_vj_correlation", "penalty_nonneg", "total_loss",
     "CurveMetrics", "rmse", "r_squared", "pearson_r",
-    "arrhenius", "peaked_arrhenius", "topt_from_entropy",
-    "electron_transport", "limitation_rates", "net_assimilation",
-    "predict_curve",
+    "arrhenius", "peaked_arrhenius", "electron_transport",
+    "limitation_rates", "net_assimilation", "predict_curve",
     "AdamState", "FitResult", "PointPrediction", "adam_step", "fit",
     "fit_groups", "init_parameters", "split_by_group",
     "FitConfig", "ParameterState", "fitted_fields",

@@ -158,10 +158,17 @@ def _parse_float(cell: str, column: str, line: int) -> float:
     return val
 
 
+# CurveID and FittingGroup are stored as int64.
+_INT64_BOUND = 2 ** 63
+
+
 def _parse_int(cell: str, column: str, line: int) -> int:
     val = _parse_float(cell, column, line)
     if val != int(val):
         raise ParseError(f"{column} must be an integer, got {cell!r}", row=line)
+    if not -_INT64_BOUND <= int(val) < _INT64_BOUND:
+        raise ParseError(f"{column} must fit in 64 bits, got {cell!r}",
+                         row=line)
     return int(val)
 
 
@@ -171,10 +178,12 @@ CHUNK_ROWS = 8192
 
 def _checked(cols):
     """cols, or None when a value is not finite or a CurveID or
-    FittingGroup (the first two columns) is not whole."""
+    FittingGroup (the first two columns) is not a whole number in the
+    int64 range."""
     if not all(np.isfinite(c).all() for c in cols):
         return None
-    if not all((np.trunc(c) == c).all() for c in cols[:2]):
+    if not all(((np.trunc(c) == c) & (c >= -_INT64_BOUND)
+                & (c < _INT64_BOUND)).all() for c in cols[:2]):
         return None
     return cols
 
@@ -186,8 +195,8 @@ def _columns_text(lines, picks, n_cols):
     Returns None when a line needs the csv path: a ragged, short or
     whitespace-only line, a cell numpy does not read as a float (a blank
     one included), a non-finite value, or a CurveID or FittingGroup
-    that is not whole. numpy reads every cell it accepts to the same
-    float as float() does.
+    that is not a whole number in the int64 range. numpy reads every
+    cell it accepts to the same float as float() does.
     """
     try:
         with warnings.catch_warnings():
@@ -208,7 +217,8 @@ def _columns_fast(rows, picks, n_cols):
 
     Returns None when a row needs the per-cell path: a short or
     whitespace-only row, a cell float() rejects, a non-finite value, or
-    a CurveID or FittingGroup (the first two picks) that is not whole.
+    a CurveID or FittingGroup (the first two picks) that is not a whole
+    number in the int64 range.
     """
     if not all(rows):
         rows = [r for r in rows if r]
@@ -280,10 +290,12 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     replaces automatic classification for those curves.
 
     Raises MissingColumn, ParseError (with the file line number: for a
-    row with fewer cells than the header, and for a blank, non-numeric
-    or non-finite cell) or EmptyCurve. Rows violating the sanity bounds
-    (Ci <= 0, Qin < 0, Tleaf outside [-10, 60] C) are dropped with a
-    warning. Curves come in the order of their first row in the file.
+    row with fewer cells than the header, for a blank, non-numeric or
+    non-finite cell, and for a CurveID or FittingGroup that is not an
+    integer in the int64 range) or EmptyCurve. Rows violating the
+    sanity bounds (Ci <= 0, Qin < 0, Tleaf outside [-10, 60] C) are
+    dropped with a warning. Curves come in the order of their first row
+    in the file.
 
     Lines are read in chunks of CHUNK_ROWS. A chunk without a quote
     goes to numpy's C reader; a chunk that reader or a check rejects is

@@ -58,10 +58,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Var:
-    """Graph node: value, parents, a VJP, its cotangent slot and its
-    creation sequence number."""
+    """Graph node: value, parents, a VJP, its cotangent slot, whether
+    `backward` allocated that cotangent, and its creation sequence
+    number."""
 
-    __slots__ = ("v", "parents", "vjp", "g", "seq")
+    __slots__ = ("v", "parents", "vjp", "g", "own", "seq")
 
     # keep numpy from absorbing `ndarray <op> Var` into a ufunc over an
     # object array
@@ -72,6 +73,7 @@ class Var:
         self.parents = parents
         self.vjp = vjp
         self.g = None
+        self.own = False
         self.seq = next(_created)
 
     @property
@@ -112,10 +114,13 @@ def backward(root: Var) -> list:
 
     Nodes are visited newest first, so each one has received the
     cotangents of all its consumers, summed in the order those consumers
-    were visited, before its own VJP runs. Interior cotangents are
-    dropped once pushed; the gradient of each leaf reached is left in
-    its `.g`, and the leaves come back in the order they were reached.
-    The caller resets their `.g` to None.
+    were visited, before its own VJP runs. The first sum allocates the
+    node's cotangent and later ones add into it in place, since no VJP
+    holds that array; each cotangent a VJP returns is let go as soon as
+    it is summed. Interior cotangents are dropped once pushed; the
+    gradient of each leaf reached is left in its `.g`, and the leaves
+    come back in the order they were reached. The caller resets their
+    `.g` to None.
     """
     root.g = np.ones_like(root.v)
     todo = [(-root.seq, root)]
@@ -127,16 +132,21 @@ def backward(root: Var) -> list:
                 leaves.append(node)
                 continue
             g, node.g = node.g, None
-            for parent, pg in zip(node.parents, node.vjp(g)):
+            cots = list(node.vjp(g))
+            for i, parent in enumerate(node.parents):
+                pg, cots[i] = cots[i], None
                 if pg is None:
                     continue
                 if pg.shape != parent.v.shape:
                     pg = _unbroadcast(pg, parent.v.shape)
                 if parent.g is None:
-                    parent.g = pg
+                    parent.g, parent.own = pg, False
                     heapq.heappush(todo, (-parent.seq, parent))
+                elif parent.own:
+                    parent.g += pg
                 else:
                     parent.g = parent.g + pg
+                    parent.own = True
     except BaseException:
         for node in leaves + [item[1] for item in todo]:
             node.g = None

@@ -25,6 +25,18 @@ the gradient graph builder when handed autodiff leaves. In that graph
 the penalty block is one node and the prediction, its residual, the
 MSE and the total are another; each has a hand-written VJP.
 
+Per-point operands that depend only on the data and on fields the
+evaluation does not differentiate are built on the first evaluation of
+a Workspace and kept on it (`_fixed_operands`): 1/T and 1/298 - 1/T and
+the Arrhenius factors of Rd, Kc, Ko and Gamma* (temp_type >= 1); unless
+the kinetic fields are autodiff leaves, Kc, Ko and Gamma* at each point;
+and unless g_m is fitted as well, the Wc and Wj denominators
+C + Kc(1 + O/Ko) and 4(C + 2 Gamma*) and the factor 1 - Gamma*/C. They
+are built again when an input changes: the kinetic fields' values, the
+constants, temp_type >= 1, fit_gm, or whether the kinetic fields are
+leaves. Each keeps the operation order of the per-evaluation code, so
+values and gradients keep their bits.
+
 A_p handling: where Wp is undefined (C below the (1+3*alpha_g)*Gamma*
 pole) the point is treated as non-limiting, i.e. it cannot trigger the
 ordering penalty and contributes nothing to the transition penalty.
@@ -44,8 +56,9 @@ from .data_io import CurveKind, Dataset
 from .engine import Var, fuse, gather, sigmoid, value
 from .errors import DegenerateSeries, FvcbError, LengthMismatch, NonPositiveC
 from .metrics import pearson_r
-from .model import arrhenius, electron_transport, limitation_rates, \
-    peaked_arrhenius
+from .model import _arrhenius, _arrhenius_factor, _kinetic_terms, \
+    _peaked_arrhenius, _temperature_terms, electron_transport, \
+    limitation_rates
 from .params import FitConfig, ParameterState, fitted_fields
 
 __all__ = [
@@ -59,6 +72,8 @@ __all__ = [
 _BIG = 1e9
 
 MIN_CURVES_FOR_R = 7
+
+KINETICS = ("kc25", "ko25", "gamma25")
 
 
 @dataclass(frozen=True)
@@ -159,17 +174,19 @@ class Workspace:
     gradients are invariant to permutations of the input. Each fitting
     group's curves, points and main-four entries are therefore
     contiguous, and the *_spans attributes hold each group's (start,
-    end) over them.
+    end) over them. fixed holds the operands `_fixed_operands` built
+    last, and fixed_key what they were built from.
     """
 
     __slots__ = ("ci", "a", "qin", "tk", "pt_entry", "pt_group",
                  "seg_starts", "seg_lengths", "last_flat", "is_light",
                  "light_pt", "any_light", "light_only", "curve_ids",
                  "curve_entry", "curve_group", "n_points", "n_curves",
-                 "co2_curves", "corr_groups", "orig_index", "pos",
+                 "co2_curves", "corr_groups", "orig_index",
                  "n_groups", "group_n",
                  "pt_spans", "curve_spans", "co2_spans", "entry_spans",
-                 "column_spans", "entry_group", "co2_group")
+                 "column_spans", "entry_group", "co2_group",
+                 "fixed_key", "fixed")
 
     def __init__(self, dataset: Dataset, params: ParameterState):
         by_id = {c.curve_id: c for c in dataset.curves}
@@ -211,7 +228,6 @@ class Workspace:
         self.curve_entry = params.entry_of
         self.curve_group = params.group_of
         self.n_points = int(self.ci.shape[0])
-        self.pos = np.arange(self.n_points)
         self.n_curves = len(params.curve_ids)
         self.co2_curves = np.flatnonzero(~self.is_light)
         self.orig_index = orig
@@ -236,6 +252,7 @@ class Workspace:
                 entries = params.entry_of[params.group_of == gi]
                 if entries.shape[0] >= MIN_CURVES_FOR_R:
                     self.corr_groups.append((gi, entries.copy()))
+        self.fixed_key = self.fixed = None
 
 
 def _spans(cuts) -> list:
@@ -258,6 +275,59 @@ def _site_co2(ci, a, gm):
     gv = value(gm)
     q = a / gv
     return fuse(ci - q, (gm,), lambda g: (g * q / gv,))
+
+
+def _fixed_operands(ws: Workspace, params: ParameterState,
+                    config: FitConfig, leaves) -> dict:
+    """The per-point operands of `_evaluate` that depend only on the data
+    and on fields that are not autodiff leaves, kept on the workspace
+    until one of their inputs changes (see the module docstring).
+
+    Entries that do not apply are None:
+      inv_t, tf: 1/T and 1/298 - 1/T (temp_type >= 1);
+      e_rd: the Arrhenius factor of Rd (temp_type >= 1);
+      kin: Kc, Ko and Gamma* at each point, temperature-scaled (no
+        kinetic leaf); Kc and Ko are None when terms is set;
+      e_kin: the Arrhenius factors of Kc, Ko and Gamma* (temp_type >= 1
+        with kinetic leaves);
+      terms, fac: (C + Kc(1 + O/Ko), 4(C + 2 Gamma*)) and 1 - Gamma*/C
+        (no kinetic leaf and no fit_gm).
+    """
+    kin = not any(name in leaves for name in KINETICS)
+    warm = config.temp_type >= 1
+    c_fixed = not config.fit_gm
+    key = (warm, c_fixed, params.constants,
+           tuple(getattr(params, name).tobytes() for name in KINETICS)
+           if kin else None)
+    if ws.fixed_key == key:
+        return ws.fixed
+    cn = params.constants
+    fx = dict.fromkeys(("inv_t", "tf", "e_rd", "kin", "e_kin", "terms",
+                        "fac"))
+    if warm:
+        fx["inv_t"], fx["tf"] = _temperature_terms(ws.tk)
+        fx["e_rd"], *e_kin = (_arrhenius_factor(h, fx["tf"], cn.r_gas)
+                              for h in (cn.dha_rd, cn.dha_kc, cn.dha_ko,
+                                        cn.dha_gamma))
+    if kin:
+        kc, ko, gamma = (getattr(params, name)[ws.pt_group]
+                         for name in KINETICS)
+        if warm:
+            kc, ko, gamma = (k * e for k, e in zip((kc, ko, gamma), e_kin))
+        if c_fixed:
+            fx["terms"] = _kinetic_terms(ws.ci, gamma, kc, ko, cn.o2)[2:]
+            fx["fac"] = _gamma_factor(gamma, ws.ci)
+            kc = ko = None
+        fx["kin"] = (kc, ko, gamma)
+    elif warm:
+        fx["e_kin"] = e_kin
+    ws.fixed_key, ws.fixed = key, fx
+    return fx
+
+
+def _scaled(k, e):
+    """k times a constant factor e, one node when k is a Var."""
+    return fuse(value(k) * e, (k,), lambda g: (g * e,))
 
 
 def _gamma_factor(gamma, c):
@@ -285,9 +355,9 @@ def _segment_argmin(x, ws: Workspace) -> np.ndarray:
     The first index wins ties, and a NaN counts as the minimum.
     """
     low = np.repeat(np.minimum.reduceat(x, ws.seg_starts), ws.seg_lengths)
-    hit = (x <= low) | np.isnan(x)
-    return np.minimum.reduceat(np.where(hit, ws.pos, ws.n_points),
-                               ws.seg_starts)
+    hits = np.flatnonzero((x <= low) | np.isnan(x))
+    # every segment holds a hit: its minimum, or a NaN
+    return hits[np.searchsorted(hits, ws.seg_starts)]
 
 
 def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
@@ -365,16 +435,18 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
     pens = np.array([p_cjp, p_cgj, p_clj, p_tpu, p_corr, p_nn])
 
     def vjp(g):
-        # d <- (relu(d), relu(0 - d)) through the per-curve margin sums
+        # d <- (relu(d), relu(0 - d)) through the per-curve margin sums;
+        # A_c's cotangent starts as d's
         cg = ws.curve_group
-        g_d = (np.repeat(-(g[1][cg] * (z_gt > 0.0)), ws.seg_lengths)
-               * pos_d
-               - np.repeat(-(g[2][cg] * (z_lt > 0.0)), ws.seg_lengths)
-               * pos_nd)
+        g_ac = np.repeat(-(g[1][cg] * (z_gt > 0.0)), ws.seg_lengths)
+        g_ac *= pos_d
+        g_lt = np.repeat(-(g[2][cg] * (z_lt > 0.0)), ws.seg_lengths)
+        g_lt *= pos_nd
+        g_ac -= g_lt
+        del g_lt
         # A_j <- (closest-point max, d, last point); A_c <- (max, d);
         # A_p <- (closest point, last point)
-        g_aj = -g_d
-        g_ac = g_d.copy()
+        g_aj = -g_ac
         g_ap = np.zeros(n)
         if co2.shape[0]:
             g_hi = g[0][ws.co2_group] * (z_cjp > 0.0)
@@ -386,10 +458,13 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
             g_aj[last] += -g_last
             g_ap[last] += g_last
         g_rates = np.empty((3, n))
-        g_rates[0], g_rates[1], g_rates[2] = g_ac * fv, g_aj * fv, g_ap * fv
+        for out, g_a in zip(g_rates, (g_ac, g_aj, g_ap)):
+            np.multiply(g_a, fv, out=out)
         g_fac = [None] * 3
         if isinstance(fac, Var):
             g_fac = [g_ac * wc, g_ap * wp, g_aj * wj]
+        for g_a in (g_ac, g_ap, g_aj):
+            np.negative(g_a, out=g_a)  # A = W * fac - rd
         g_x = g_y = None
         if corr:
             g_x, g_y = np.zeros(xs.shape[0]), np.zeros(ys.shape[0])
@@ -401,11 +476,13 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
                                     (g_y, yc, xc, g_prod * sxx)):
                 g_a = g_num * b + g_aa * a + g_aa * a
                 out[entries] = g_a + (-g_a).sum() / m
-        return ([g_rates, -g_ac, -g_ap, -g_aj] + g_fac + [g_x, g_y]
+        return ([g_ac, g_ap, g_aj, g_rates] + g_fac + [g_x, g_y]
                 + [-(g[5][grp] * (0.0 - value(t) > 0.0))
                    for t, (grp, _) in zip(nonneg, cols)])
 
-    return fuse(pens, [rates, rd, rd, rd, fac, fac, fac, vcmax25, jmax25]
+    # rd's three cotangents come first, so each is summed and let go
+    # before the rates' is added
+    return fuse(pens, [rd, rd, rd, rates, fac, fac, fac, vcmax25, jmax25]
                 + list(nonneg), vjp)
 
 
@@ -429,20 +506,26 @@ def _objective(ws: Workspace, rates, fac, rd, pens):
     mse = _group_sum(resid * resid, ws.pt_spans) / n
     p = value(pens)
     total = mse + p[0] + p[1] + p[2] + p[3] + p[4] + p[5]
+    if not isinstance(fac, Var):
+        w = None  # read by the VJP only for fac
 
     def vjp(g):
-        t = (g / n)[ws.pt_group] * resid
-        g_pred = t + t
-        g_w = g_pred * fv
-        g_wcj = g_w * take_cj
+        g_pred = pred - ws.a
+        g_pred *= (g / n)[ws.pt_group]
+        g_pred += g_pred
+        # g_w, then g_wcj, are built in the rows they end up scaling
         g_rates = np.empty((3, ws.n_points))
-        g_rates[0] = g_wcj * take_c
-        g_rates[1] = g_wcj * ~take_c
-        g_rates[2] = g_w * ~take_cj
+        g_wc, g_wj, g_wp = g_rates
+        np.multiply(g_pred, fv, out=g_wp)
+        np.multiply(g_wp, take_cj, out=g_wj)
+        np.multiply(g_wj, take_c, out=g_wc)
+        g_wj *= ~take_c
+        g_wp *= ~take_cj
         if ws.any_light:
-            g_rates[2] *= ~ws.light_pt
+            g_wp *= ~ws.light_pt
         g_fac = g_pred * w if isinstance(fac, Var) else None
-        return g_rates, g_fac, -g_pred, np.broadcast_to(g, (6,) + g.shape)
+        np.negative(g_pred, out=g_pred)  # pred = w * fac - rd
+        return g_rates, g_fac, g_pred, np.broadcast_to(g, (6,) + g.shape)
 
     return fuse(total, (rates, fac, rd, pens), vjp), mse, pred
 
@@ -468,13 +551,15 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
     def P(name):
         return leaves[name] if name in leaves else getattr(params, name)
 
+    fx = _fixed_operands(ws, params, config, leaves)
     ve = gather(P("vcmax25"), ws.pt_entry)
     je = gather(P("jmax25"), ws.pt_entry)
     te = gather(P("tpu25"), ws.pt_entry)
     rd = gather(P("rd25"), ws.pt_entry)
-    kc = gather(P("kc25"), ws.pt_group)
-    ko = gather(P("ko25"), ws.pt_group)
-    gamma = gather(P("gamma25"), ws.pt_group)
+    if fx["kin"] is None:
+        kc, ko, gamma = (gather(P(name), ws.pt_group) for name in KINETICS)
+    else:
+        kc, ko, gamma = fx["kin"]
     ag = _gather_sigmoid(P("alpha_g_raw"), ws.pt_group)
 
     c = ws.ci
@@ -488,24 +573,29 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
     if config.temp_type >= 1:
         # Rd and the kinetic constants follow plain Arrhenius with fixed
         # activation energies
-        rd = arrhenius(rd, cn.dha_rd, ws.tk, r_gas)
-        kc = arrhenius(kc, cn.dha_kc, ws.tk, r_gas)
-        ko = arrhenius(ko, cn.dha_ko, ws.tk, r_gas)
-        gamma = arrhenius(gamma, cn.dha_gamma, ws.tk, r_gas)
+        rd = _scaled(rd, fx["e_rd"])
+        if fx["e_kin"] is not None:
+            kc, ko, gamma = (_scaled(k, e)
+                             for k, e in zip((kc, ko, gamma), fx["e_kin"]))
+    tf = fx["tf"]
     if config.temp_type == 1:
-        ve = arrhenius(ve, gather(P("dha_vcmax"), ws.pt_group), ws.tk, r_gas)
-        je = arrhenius(je, gather(P("dha_jmax"), ws.pt_group), ws.tk, r_gas)
-        te = arrhenius(te, gather(P("dha_tpu"), ws.pt_group), ws.tk, r_gas)
+        ve = _arrhenius(ve, gather(P("dha_vcmax"), ws.pt_group), tf, r_gas)
+        je = _arrhenius(je, gather(P("dha_jmax"), ws.pt_group), tf, r_gas)
+        te = _arrhenius(te, gather(P("dha_tpu"), ws.pt_group), tf, r_gas)
     elif config.temp_type == 2:
-        ve = peaked_arrhenius(ve, gather(P("dha_vcmax"), ws.pt_group),
-                              cn.dhd_vcmax, gather(P("topt_vcmax"), ws.pt_group),
-                              ws.tk, r_gas)
-        je = peaked_arrhenius(je, gather(P("dha_jmax"), ws.pt_group),
-                              cn.dhd_jmax, gather(P("topt_jmax"), ws.pt_group),
-                              ws.tk, r_gas)
-        te = peaked_arrhenius(te, gather(P("dha_tpu"), ws.pt_group),
-                              cn.dhd_tpu, gather(P("topt_tpu"), ws.pt_group),
-                              ws.tk, r_gas)
+        inv_t = fx["inv_t"]
+        ve = _peaked_arrhenius(ve, gather(P("dha_vcmax"), ws.pt_group),
+                               cn.dhd_vcmax,
+                               gather(P("topt_vcmax"), ws.pt_group),
+                               inv_t, tf, r_gas)
+        je = _peaked_arrhenius(je, gather(P("dha_jmax"), ws.pt_group),
+                               cn.dhd_jmax,
+                               gather(P("topt_jmax"), ws.pt_group),
+                               inv_t, tf, r_gas)
+        te = _peaked_arrhenius(te, gather(P("dha_tpu"), ws.pt_group),
+                               cn.dhd_tpu,
+                               gather(P("topt_tpu"), ws.pt_group),
+                               inv_t, tf, r_gas)
 
     if config.light_type == 0:
         j = je
@@ -515,8 +605,8 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
                                config.light_type)
 
     rates, valid = limitation_rates(c, ve, j, te, gamma, kc, ko, cn.o2, ag,
-                                    big=_BIG)
-    fac = _gamma_factor(gamma, c)
+                                    big=_BIG, terms=fx["terms"])
+    fac = _gamma_factor(gamma, c) if fx["fac"] is None else fx["fac"]
 
     pens = np.zeros((6, ws.n_groups))
     if config.penalties:

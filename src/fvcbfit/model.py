@@ -40,9 +40,8 @@ from .engine import Var, fuse, sigmoid, value
 from .errors import DomainError, NonPositiveC
 
 __all__ = [
-    "arrhenius", "peaked_arrhenius", "topt_from_entropy",
-    "electron_transport", "limitation_rates", "net_assimilation",
-    "predict_curve",
+    "arrhenius", "peaked_arrhenius", "electron_transport",
+    "limitation_rates", "net_assimilation", "predict_curve",
 ]
 
 
@@ -58,9 +57,24 @@ def arrhenius(k25, dha, tleaf, r_gas: float = R_GAS):
     Returns k25 * exp[(dha/R) * (1/298 - 1/tleaf)]; monotone increasing
     in tleaf for positive dha.
     """
-    k, h = value(k25), value(dha)
-    tf = 1.0 / T_REF - 1.0 / tleaf
-    e = np.exp((h / r_gas) * tf)
+    return _arrhenius(k25, dha, _temperature_terms(tleaf)[1], r_gas)
+
+
+def _temperature_terms(tleaf):
+    """(1/tleaf, 1/298 - 1/tleaf), the per-point terms of both responses."""
+    inv_t = 1.0 / tleaf
+    return inv_t, 1.0 / T_REF - inv_t
+
+
+def _arrhenius_factor(dha, tf, r_gas):
+    """exp[(dha/R) * tf], the Arrhenius factor at tf = 1/298 - 1/tleaf."""
+    return np.exp((value(dha) / r_gas) * tf)
+
+
+def _arrhenius(k25, dha, tf, r_gas):
+    # arrhenius with the temperature term tf = 1/298 - 1/tleaf given
+    k = value(k25)
+    e = _arrhenius_factor(dha, tf, r_gas)
 
     def vjp(g):
         gh = None
@@ -82,11 +96,16 @@ def peaked_arrhenius(k25, dha, dhd, topt, tleaf, r_gas: float = R_GAS):
     Raises DomainError unless dhd > dha > 0 (the log argument must be
     positive).
     """
+    return _peaked_arrhenius(k25, dha, dhd, topt, *_temperature_terms(tleaf),
+                             r_gas)
+
+
+def _peaked_arrhenius(k25, dha, dhd, topt, inv_t, tf, r_gas):
+    # peaked_arrhenius with _temperature_terms(tleaf) given
     k, h, to = value(k25), value(dha), value(topt)
     if np.any(h <= 0.0) or np.any(dhd <= h):
         raise DomainError("peaked response requires dhd > dha > 0")
-    tf = 1.0 / T_REF - 1.0 / tleaf
-    e = np.exp((h / r_gas) * tf)
+    e = _arrhenius_factor(h, tf, r_gas)
     arr = k * e
     w = dhd / h
     u = w - 1.0
@@ -94,7 +113,7 @@ def peaked_arrhenius(k25, dha, dhd, topt, tleaf, r_gas: float = R_GAS):
     inv = 1.0 / to
     cd = dhd / r_gas
     e_ref = np.exp(cd * (inv - 1.0 / T_REF) - lg)
-    e_t = np.exp(cd * (inv - 1.0 / tleaf) - lg)
+    e_t = np.exp(cd * (inv - inv_t) - lg)
     ref = 1.0 + e_ref
     at_t = 1.0 + e_t
     out = arr * ref / at_t
@@ -117,23 +136,6 @@ def peaked_arrhenius(k25, dha, dhd, topt, tleaf, r_gas: float = R_GAS):
         return g_arr * e, gh, gt
 
     return fuse(out, (k25, dha, topt), vjp)
-
-
-def topt_from_entropy(ds, dha, dhd, r_gas: float = R_GAS):
-    """Optimum temperature implied by an entropy term.
-
-    Inverts dS = dhd/Topt + R*ln(dha/(dhd - dha)) to
-    Topt = dhd / (ds - R*ln(dha/(dhd - dha))).
-    """
-    ds = np.asarray(ds, dtype=np.float64)
-    dha = np.asarray(dha, dtype=np.float64)
-    dhd = np.asarray(dhd, dtype=np.float64)
-    if np.any(dha <= 0.0) or np.any(dhd <= dha):
-        raise DomainError("requires dhd > dha > 0")
-    denom = ds - r_gas * np.log(dha / (dhd - dha))
-    if np.any(denom <= 0.0):
-        raise DomainError("entropy too small: non-positive denominator")
-    return dhd / denom
 
 
 def electron_transport(qin, jmax, alpha=None, theta=None, light_type: int = 0):
@@ -190,12 +192,22 @@ def electron_transport(qin, jmax, alpha=None, theta=None, light_type: int = 0):
     return fuse(out, (alpha, jmax, theta), vjp)
 
 
+def _kinetic_terms(c, gamma_star, kc, ko, o2):
+    """(x, y, kk, dd): x = O/Ko, y = 1 + x, and the Wc and Wj
+    denominators kk = C + Kc*y and dd = 4(C + 2 Gamma*)."""
+    x = o2 / ko
+    y = 1.0 + x
+    return x, y, c + kc * y, 4.0 * (c + 2.0 * gamma_star)
+
+
 def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
-                     alpha_g=0.0, big: float = np.inf):
+                     alpha_g=0.0, big: float = np.inf, terms=None):
     """The three carboxylation-limitation rates at one temperature.
 
     Parameters are the temperature-scaled values at the evaluation
-    point; c is the CO2 mole fraction at the carboxylation site.
+    point; c is the CO2 mole fraction at the carboxylation site. terms,
+    if given, is (kk, dd) of `_kinetic_terms`, built beforehand from
+    constant c, gamma_star, kc and ko; kc and ko are then not read.
 
     Wp has a pole at C = (1 + 3*alpha_g) * Gamma*; below it TPU cannot
     be limiting and Wp is reported as `big` (default +inf) so it never
@@ -206,50 +218,63 @@ def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
     first axis (one Var when an operand is a Var), and wp_valid is the
     boolean mask of points where Wp is physically defined.
     """
-    cv, vv, jv, tv, gv, kcv, kov, agv = map(
-        value, (c, vcmax, j, tpu, gamma_star, kc, ko, alpha_g))
-    x = o2 / kov
-    y = 1.0 + x
-    kk = cv + kcv * y
-    wc = vv * cv / kk
-    dd = 4.0 * (cv + 2.0 * gv)
-    wj = jv * cv / dd
-    u = 1.0 + 3.0 * agv
-    thresh = u * gv
+    cv, vv, jv, tv, gv, agv = map(value,
+                                  (c, vcmax, j, tpu, gamma_star, alpha_g))
+    c_var, g_var = isinstance(c, Var), isinstance(gamma_star, Var)
+    kin_var = isinstance(kc, Var) or isinstance(ko, Var)
+    if terms is None:
+        kcv, kov = value(kc), value(ko)
+        x, y, kk, dd = _kinetic_terms(cv, gv, kcv, kov, o2)
+    else:
+        kk, dd = terms
+    if terms is not None or not kin_var:
+        x = y = kcv = kov = None  # read by the VJP only for Kc and Ko
+    thresh = (1.0 + 3.0 * agv) * gv
     valid = cv > thresh
     denom = np.where(valid, cv - thresh, 1.0)
-    t3 = 3.0 * tv
-    q = t3 * cv / denom
-    wp = np.where(valid, q, big)
-    rates = np.empty((3,) + np.broadcast_shapes(np.shape(wc), np.shape(wj),
-                                                np.shape(wp)))
-    rates[0], rates[1], rates[2] = wc, wj, wp
-    wc, wj = rates[0], rates[1]  # the VJP keeps the stacked copy only
-    c_var, g_var = isinstance(c, Var), isinstance(gamma_star, Var)
+    rates = np.empty((3,) + np.broadcast_shapes(
+        *map(np.shape, (cv, vv, jv, tv, gv, agv, kk, dd))))
+    wc, wj, wp = rates[0, ...], rates[1, ...], rates[2, ...]
+    np.multiply(vv, cv, out=wc)
+    wc /= kk
+    np.multiply(jv, cv, out=wj)
+    wj /= dd
+    np.multiply(3.0 * tv, cv, out=wp)
+    wp /= denom
+    q = wp.copy() if c_var or g_var or isinstance(alpha_g, Var) else None
+    np.copyto(wp, big, where=~valid)
 
     def vjp(g):
+        # 3*TPU and 1 + 3*alpha_g are recomputed where they are read
+        # rather than kept alive from the forward pass
         g_wc, g_wj, g_wp = g
         g_num = g_wc / kk
         g_numj = g_wj / dd
-        g_m = g_wp * valid / denom
-        g_kk = g_dd = g_thresh = g_c = g_gamma = g_kc = g_ko = g_ag = None
-        if c_var or isinstance(kc, Var) or isinstance(ko, Var):
+        g_live = g_wp * valid
+        g_m = g_live / denom
+        g_kk = g_dd = g_c = g_gamma = g_kc = g_ko = g_ag = None
+        if c_var or kin_var:
             g_kk = -g_wc * wc / kk
+        if kin_var:
             g_kc = g_kk * y
             g_ko = -(g_kk * kcv) * x / kov
         if c_var or g_var:
             g_dd = -g_wj * wj / dd * 4.0
         if c_var or g_var or isinstance(alpha_g, Var):
-            g_cmt = -g_wp * valid * q / denom * valid
-            g_thresh = -g_cmt
+            # thresh's cotangent through denom = C - thresh; C's is its
+            # negative
+            g_thresh = g_live * q / denom
             g_ag = g_thresh * gv * 3.0
         if c_var:
-            g_c = (g_num * vv + g_kk + g_m * t3 + g_cmt
+            g_c = (g_num * vv + g_kk + g_m * (3.0 * tv) - g_thresh
                    + g_numj * jv + g_dd)
         if g_var:
-            g_gamma = g_thresh * u + g_dd * 2.0
-        return (g_c, g_num * cv, g_numj * cv, g_m * cv * 3.0, g_gamma,
-                g_kc, g_ko, g_ag)
+            g_gamma = g_thresh * (1.0 + 3.0 * agv) + g_dd * 2.0
+        g_num *= cv
+        g_numj *= cv
+        g_m *= cv
+        g_m *= 3.0
+        return (g_c, g_num, g_numj, g_m, g_gamma, g_kc, g_ko, g_ag)
 
     return fuse(rates, (c, vcmax, j, tpu, gamma_star, kc, ko, alpha_g),
                 vjp), valid

@@ -359,10 +359,12 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
     # evaluate the endpoint too; it competes for best. A group whose C
     # goes non-positive there weighs no endpoint: it returns to its best
     # point, and the others are evaluated again without it
+    total = leaves = None  # the last graph is not needed past here
     ends = range(k)
+    best_at_end = 0
     try:
-        _, endb, _, aux = _evaluate(ws, params, config)
-        history.append(endb.total)
+        _, breakdown, _, aux = _evaluate(ws, params, config)
+        history.append(breakdown.total)
     except NonPositiveC as e:
         ends = [gi for gi in ends if gi not in e.groups]
         if ends:
@@ -378,9 +380,13 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
             if np.isfinite(loss) and loss < best_loss[gi]:
                 best_loss[gi] = loss
                 best_flat[coords[gi]] = flat[coords[gi]]
+                best_at_end += 1
 
-    packing.unpack(best_flat, params)
-    _, breakdown, _, aux = _evaluate(ws, params, config)
+    # when every group's best point is the endpoint, the endpoint's
+    # evaluation is the best point's
+    if best_at_end < k:
+        packing.unpack(best_flat, params)
+        _, breakdown, _, aux = _evaluate(ws, params, config)
 
     by_id = {c.curve_id: c for c in dataset.curves}
     curves = [by_id[cid] for cid in params.curve_ids]

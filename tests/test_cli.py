@@ -292,6 +292,26 @@ def test_console_script_runs(tmp_path):
     assert path.exists()
 
 
+@pytest.mark.parametrize("column,cell", [("CurveID", "1e20"),
+                                         ("FittingGroup", "-1e19")])
+def test_id_beyond_int64_is_data_error_naming_the_row(tmp_path, capsys,
+                                                      column, cell):
+    data = synth_file(tmp_path)
+    with open(data) as fh:
+        lines = fh.read().splitlines()
+    k = lines[0].split(",").index(column)
+    for i in range(1, 11):  # enough points for a curve of its own
+        cells = lines[i].split(",")
+        cells[k] = cell
+        lines[i] = ",".join(cells)
+    with open(data, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert run(["fit", data, "-q", "--max-iter", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "row 2" in err and column in err and cell in err
+    assert "Traceback" not in err
+
+
 def test_repeated_header_is_data_error_naming_its_row(tmp_path, capsys):
     # two files joined with cat: the second header is a data row
     data = synth_file(tmp_path)

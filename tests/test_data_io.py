@@ -468,6 +468,16 @@ READER_CASES = {
     "short_row": (_with({6: "2,0,400,4"}), ParseError),
     "group_conflict": (_with({10: "2,1,600,6,2000,25"}), ParseError),
     "fractional_id": (_with({8: "2.5,0,500,5,2000,25"}), ParseError),
+    "id_beyond_int64": (_with({8: "1e20,0,500,5,2000,25"}), ParseError),
+    "group_beyond_int64": (_with({
+        i: f"2,9223372036854775808,{100 + 50 * i},{1 + 0.5 * i},2000,25"
+        for i in range(6, 12)}), ParseError),
+    # -2**63 and the largest double below 2**63
+    "ids_at_int64_bounds": (_with({
+        i: (f"-9223372036854775808,0,{100 + 50 * i},{1 + 0.5 * i},2000,25"
+            if i < 6 else
+            f"2,9223372036854774784,{100 + 50 * i},{1 + 0.5 * i},2000,25")
+        for i in range(12)}), None),
     "out_of_range_rows": (_with({3: "1,0,-5,2.5,2000,25",
                                 9: "2,0,550,5.5,2000,99"}), None),
     "multiline_cell_across_chunks": (_multiline(), None),

@@ -2,21 +2,24 @@
 evaluator that must reproduce them."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fvcbfit.constants import FvCBConstants
 from fvcbfit.data_io import CurveKind, Dataset, GasExchangeRecord, ResponseCurve
-from fvcbfit.engine import sigmoid
+from fvcbfit.engine import grad, sigmoid, value
 from fvcbfit.errors import FvcbError, LengthMismatch, NonPositiveC
 from fvcbfit.loss import (
-    find_jc_index, mse, penalty_cjp, penalty_intersections, penalty_nonneg,
-    penalty_tpu_transition, penalty_vj_correlation, total_loss,
+    Workspace, _evaluate, find_jc_index, mse, penalty_cjp,
+    penalty_intersections, penalty_nonneg, penalty_tpu_transition,
+    penalty_vj_correlation, total_loss,
 )
 from fvcbfit.metrics import pearson_r
-from fvcbfit.model import limitation_rates
-from fvcbfit.params import FitConfig, ParameterState
+from fvcbfit.model import limitation_rates, predict_curve
+from fvcbfit.params import FitConfig, ParameterState, fitted_fields
 from fvcbfit.synth import generate_dataset
 
 
@@ -244,3 +247,117 @@ def test_dataset_parameter_id_mismatch_rejected():
     ds, _ = generate_dataset(ParameterState.single(), n_curves=2, seed=0)
     with pytest.raises(FvcbError, match="curve ids"):
         total_loss(ds, ParameterState.defaults(curve_ids=(0, 5)))
+
+
+# --- operands built once per workspace -----------------------------------
+
+def evaluation_bytes(ws, params, cfg, fitted):
+    """Bytes of the loss terms, the prediction and the gradient."""
+    total, breakdown, leaves, aux = _evaluate(ws, params, cfg, fitted)
+    out = [value(total).tobytes(), breakdown, aux["pred"].tobytes()]
+    if fitted:
+        out += [g.tobytes() for g in grad(total, [leaves[f] for f in fitted])]
+    return out
+
+
+def two_group_temperature_dataset(light):
+    # group 0: three A/Ci curves at 18, 25 and 32 C; group 1: two, plus
+    # an A-Q curve when light is set
+    curves, groups = [], {}
+    for gid, temps in ((0, (18.0, 25.0, 32.0)), (1, (21.0, 29.0))):
+        parts = [generate_dataset(ParameterState.single(), noise_sd=0.5,
+                                  seed=10 * gid + k, tleaf_c=t, jitter=True)[0]
+                 for k, t in enumerate(temps)]
+        if light:
+            parts.append(generate_dataset(
+                ParameterState.single(), config=FitConfig(light_type=2),
+                q_grid=np.linspace(20.0, 2000.0, 15), noise_sd=0.5,
+                seed=10 * gid + 9)[0])
+        for part in parts:
+            cid = len(curves)
+            curves.append(replace(part.curves[0], curve_id=cid,
+                                  fitting_group=gid))
+            groups.setdefault(gid, []).append(cid)
+    return Dataset(curves=tuple(curves), groups=groups)
+
+
+HOISTED_CONFIGS = {
+    "default": FitConfig(),
+    "fit_gm": FitConfig(fit_gm=True),
+    "fit_kinetics": FitConfig(fit_kinetics=True),
+    "temp_type_1": FitConfig(temp_type=1),
+    "temp_type_2": FitConfig(temp_type=2),
+    "light_type_1": FitConfig(light_type=1),
+    "light_type_2": FitConfig(light_type=2, temp_type=2),
+    "onefit": FitConfig(onefit=True, temp_type=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOISTED_CONFIGS))
+def test_workspace_operands_follow_the_fields_they_are_built_from(name):
+    cfg = HOISTED_CONFIGS[name]
+    ds = two_group_temperature_dataset(light=cfg.light_type >= 1)
+    params = ParameterState.defaults(
+        curve_ids=[c.curve_id for c in ds.curves],
+        group_of_curve={c.curve_id: c.fitting_group for c in ds.curves},
+        onefit=cfg.onefit, gm=30.0)
+    ws = Workspace(ds, params)
+    fitted = fitted_fields(cfg, ws.light_only)
+
+    def same_as_fresh(p):
+        got = [evaluation_bytes(ws, p, cfg, f) for f in (fitted, ())]
+        assert got == [evaluation_bytes(Workspace(ds, p), p, cfg, f)
+                       for f in (fitted, ())]
+        # and right: the pointwise forward model agrees
+        pred = _evaluate(ws, p, cfg)[3]["pred"]
+        for i, (cid, start) in enumerate(zip(p.curve_ids, ws.seg_starts)):
+            a_hat, _ = predict_curve(ds.curve(cid), p, cfg,
+                                     entry=int(p.entry_of[i]),
+                                     group=int(p.group_of[i]))
+            np.testing.assert_allclose(
+                pred[start:start + a_hat.shape[0]],
+                a_hat[ws.orig_index[i]], rtol=1e-12, atol=1e-12)
+        return got
+
+    first = same_as_fresh(params)
+    assert same_as_fresh(params) == first
+    # fields the operands are built from, changed in place
+    for field, factor in (("kc25", 1.1), ("ko25", 0.9), ("gamma25", 1.05)):
+        getattr(params, field)[1] *= factor
+        assert same_as_fresh(params) != first
+    other = replace(params, constants=FvCBConstants(o2=190.0, dha_rd=40.0,
+                                                    dha_kc=70.0))
+    assert same_as_fresh(other) != same_as_fresh(params)
+
+
+# Peak memory of one taped evaluation and its gradient, in arrays of one
+# float64 per point: 22.7 measured (37.7 before the operands that depend
+# only on the data were built once per workspace), plus a margin of two
+# arrays for numpy's small allocations.
+WORKING_SET_BOUND = 25.0
+
+
+def test_dense_iteration_working_set_stays_bounded():
+    ds, _ = generate_dataset(ParameterState.single(), n_curves=40,
+                             noise_sd=0.5, seed=3, jitter=True,
+                             ci_grid=np.linspace(40.0, 1800.0, 500))
+    cfg = FitConfig()
+    params = ParameterState.defaults(curve_ids=[c.curve_id
+                                                for c in ds.curves])
+    ws = Workspace(ds, params)
+    fitted = fitted_fields(cfg, ws.light_only)
+
+    def iteration():
+        total, _, leaves, _ = _evaluate(ws, params, cfg, fitted)
+        grad(total, [leaves[f] for f in fitted])
+
+    iteration()  # builds the workspace's operands
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        iteration()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert ws.n_points == 20000
+    assert peak / (8 * ws.n_points) < WORKING_SET_BOUND

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from fvcbfit import FitConfig, ParameterState
-from fvcbfit.constants import FvCBConstants, R_GAS, T_REF
+from fvcbfit.constants import FvCBConstants
 from fvcbfit.engine import Var, fuse, grad, value
 from fvcbfit.errors import DomainError, NonPositiveC
 from fvcbfit.model import (
-    arrhenius, peaked_arrhenius, topt_from_entropy,
-    electron_transport, limitation_rates, net_assimilation, predict_curve,
+    arrhenius, peaked_arrhenius, electron_transport, limitation_rates,
+    net_assimilation, predict_curve,
 )
 
 
@@ -105,17 +105,6 @@ def test_peaked_arrhenius_rejects_bad_energies():
         peaked_arrhenius(100.0, 200.0, 200.0, 311.0, 298.0)  # dha == dhd
     with pytest.raises(DomainError):
         peaked_arrhenius(100.0, -1.0, 200.0, 311.0, 298.0)
-
-
-def test_topt_from_entropy_oracle_and_roundtrip():
-    got = topt_from_entropy(0.65, 53.1, 201.8)
-    np.testing.assert_allclose(got, 306.4255025057968, rtol=1e-12)
-    # invert: ds = dhd/topt + R ln(dha/(dhd-dha))
-    ds = 201.8 / got + R_GAS * np.log(53.1 / (201.8 - 53.1))
-    np.testing.assert_allclose(ds, 0.65, rtol=1e-12)
-    ds311 = 200.0 / 311.0 + R_GAS * np.log(65.33 / (200.0 - 65.33))
-    np.testing.assert_allclose(topt_from_entropy(ds311, 65.33, 200.0), 311.0,
-                               rtol=1e-12)
 
 
 # --------------------------------------------------------- electron transport

@@ -9,7 +9,7 @@ import fvcbfit.optimizer as optimizer
 from fvcbfit.data_io import Dataset
 from fvcbfit.engine import Var
 from fvcbfit.errors import DivergenceError, FvcbError
-from fvcbfit.loss import total_loss
+from fvcbfit.loss import LossBreakdown, Workspace, total_loss
 from fvcbfit.model import peaked_arrhenius
 from fvcbfit.optimizer import (
     STALL_PATIENCE, AdamState, adam_step, fit, fit_groups, init_parameters,
@@ -256,6 +256,38 @@ def test_theta_stays_at_most_one_on_joint_light_temperature_fit():
     aq = p.alpha[0] * light.qin
     disc = (aq + jmax) ** 2 - 4.0 * theta * aq * jmax
     assert np.all(disc > 0.0)
+
+
+@pytest.mark.parametrize("lr,evaluations", [(0.08, 31), (5.0, 32)])
+def test_best_point_is_evaluated_again_only_when_not_the_endpoint(
+        monkeypatch, lr, evaluations):
+    # lr 0.08: every group's best point is the endpoint, whose evaluation
+    # is reused; lr 5.0 overshoots, and the best point is evaluated again
+    real = optimizer._evaluate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_evaluate", counting)
+    ds = two_group_dataset()
+    cfg = FitConfig(max_iter=30, lr=lr)
+    res = fit(ds, cfg)
+    assert len(calls) == evaluations
+    assert (res.final_loss == res.loss_history[-1]) == (evaluations == 31)
+    # the result reports exactly what an evaluation of its best point gives
+    ws = Workspace(ds, res.params)
+    _, breakdown, _, aux = real(ws, res.params, cfg)
+    assert res.breakdown == breakdown
+    for gi, part in enumerate(res.groups):
+        assert part.breakdown == LossBreakdown(*(float(t[gi])
+                                                 for t in aux["terms"]))
+    for i, cid in enumerate(res.params.curve_ids):
+        ok = bool(aux["tpu_valid"][i])
+        gap = float(aux["tpu_gap"][i]) if ok else float("nan")
+        np.testing.assert_array_equal(res.tpu_gap[cid], gap)
+        assert res.tpu_stage[cid] == (ok and gap < -optimizer.TPU_STAGE_MARGIN)
 
 
 def test_callback_sees_every_iteration():
