@@ -194,7 +194,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("-q", "--quiet", action="store_true")
     _add_preprocess_flags(p_pre)
 
+    for p in (p_fit, p_syn, p_pre):
+        p.set_defaults(cmd_parser=p)
     return parser
+
+
+def _check(args):
+    """Builds the configurations the command's flags describe; a flag
+    value they reject is a usage error of that command."""
+    try:
+        if args.cmd == "synth" and args.n_curves < 1:
+            raise ValueError("--n-curves must be at least 1")
+        if args.cmd == "fit":
+            args.fit_config = _fit_config(args)
+        if args.cmd == "preprocess" or getattr(args, "preprocess", False):
+            args.preprocess_config = _preprocess_config(args)
+    except ValueError as e:
+        args.cmd_parser.error(str(e))
 
 
 def _run_fit(args) -> int:
@@ -202,8 +218,8 @@ def _run_fit(args) -> int:
     quiet = args.quiet or args.format == "json"
     dataset = load_csv(args.input, kind_overrides=dict(args.curve_kind))
     if args.preprocess:
-        dataset = preprocess_dataset(dataset, _preprocess_config(args))
-    config = _fit_config(args)
+        dataset = preprocess_dataset(dataset, args.preprocess_config)
+    config = args.fit_config
 
     cb = None
     if not quiet:
@@ -274,7 +290,7 @@ def _run_synth(args) -> int:
 
 def _run_preprocess(args) -> int:
     dataset = load_csv(args.input, kind_overrides=dict(args.curve_kind))
-    cleaned = preprocess_dataset(dataset, _preprocess_config(args))
+    cleaned = preprocess_dataset(dataset, args.preprocess_config)
     write_dataset(cleaned, args.output)
     if not args.quiet:
         before = {c.curve_id: c.n_points for c in dataset.curves}
@@ -290,6 +306,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check(args)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -22,8 +22,23 @@ The standalone penalty functions below operate on plain numpy series
 and define the reference semantics; the batched evaluator `total_loss`
 computes the same quantities vectorized across curves, and doubles as
 the gradient graph builder when handed autodiff leaves. In that graph
-the penalty block is one node and the prediction, its residual, the
-MSE and the total are another; each has a hand-written VJP.
+the prediction, the MSE, the six penalty terms and the total are one
+node (`_objective`), the one consumer of the stacked rates, of rd and of
+the factor 1 - Gamma*/C. Its hand-written VJP builds the MSE's
+cotangents of those three in arrays it allocates, then adds the
+penalties' part only at the points of active terms: every point of a
+curve whose margin term is active (a margin missed with no point of the
+sign it sums, as on a light curve where A_c stays above A_j, has no
+gradient), the closest A_c/A_j point of a curve whose ordering term is,
+the last point of a curve whose TPU term is, and nothing when no term
+is active, which is most iterations of a fit. At
+each point it touches it keeps the order of the sums of a separate
+penalty node: rd and fac take the MSE's part, then A_c's, A_p's and
+A_j's, and A_j's part sums the margin, ordering and TPU terms in that
+order. A dense VJP would add only zeros at the other points, and every
+path from rates, rd and fac to a leaf ends in a gather whose scatter-add
+starts from +0.0, so the gradients are those of the dense VJP bit for
+bit.
 
 Per-point operands that depend only on the data and on fields the
 evaluation does not differentiate are built on the first evaluation of
@@ -360,25 +375,32 @@ def _segment_argmin(x, ws: Workspace) -> np.ndarray:
     return hits[np.searchsorted(hits, ws.seg_starts)]
 
 
-def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
-               vcmax25, jmax25, nonneg):
-    """The penalty block as one node.
+def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fv, rv, valid,
+               xs, ys, nonneg):
+    """The six penalty terms on forward values, and their VJP.
 
-    Its value is [p_cjp, p_c_gt_j, p_c_lt_j, p_j_lt_p, p_corr,
-    p_nonneg], each a vector over the groups. It reads the rates
-    through A_x = W_x * fac - rd; nonneg lists the fitted scalars whose
-    negative part is penalized: main-four fields (one column per entry)
-    or shared ones (one per group).
+    Returns (pens, add). pens is [p_cjp, p_c_gt_j, p_c_lt_j, p_j_lt_p,
+    p_corr, p_nonneg], each a vector over the groups. The terms read the
+    rates through A_x = W_x * fac - rd. xs and ys are the Vcmax25 and
+    Jmax25 columns, None without the correlation term; nonneg holds the
+    fitted scalars whose negative part is penalized: main-four fields
+    (one column per entry) or shared ones (one per group).
+
+    add(g, g_rates, g_fac, g_rd) adds the penalties' part of the
+    objective's cotangent g to the rates, fac and rd cotangents (g_fac
+    None when fac is constant), at the points of active terms only, and
+    returns the cotangents of xs, ys and each nonneg field.
     """
-    wc, wj, wp = value(rates)
-    fv, rv = value(fac), value(rd)
     aj = wj * fv - rv
     ac = wc * fv - rv
     d = ac - aj
     co2 = ws.co2_curves
-    n = ws.n_points
     p_cjp = p_tpu = p_nn = np.zeros(ws.n_groups)
     p_corr = np.zeros(ws.n_groups)
+    # closest points, last points and their terms, where there are any
+    jc = last = co2
+    z_cjp = z_tpu = np.zeros(0)
+    take_j = ok = np.zeros(0, dtype=bool)
 
     def a_p(idx):
         # A_p is read at a few points only
@@ -394,23 +416,20 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
 
     nd = 0.0 - d
     pos_d, pos_nd = d > 0.0, nd > 0.0
-    z_gt = config.beta - np.add.reduceat(np.where(pos_d, d, 0.0),
-                                         ws.seg_starts)
-    z_lt = config.beta - np.add.reduceat(np.where(pos_nd, nd, 0.0),
-                                         ws.seg_starts)
+    s_pos = np.add.reduceat(np.where(pos_d, d, 0.0), ws.seg_starts)
+    s_neg = np.add.reduceat(np.where(pos_nd, nd, 0.0), ws.seg_starts)
+    z_gt, z_lt = config.beta - s_pos, config.beta - s_neg
     p_cgj = _group_sum(_relu(z_gt), ws.curve_spans)
     p_clj = _group_sum(_relu(z_lt), ws.curve_spans)
 
-    tpu_on = config.tpu_penalty and co2.shape[0]
-    if tpu_on:
+    if config.tpu_penalty and co2.shape[0]:
         last = ws.last_flat[co2]
-        ok = valid[last].astype(np.float64)
+        ok = valid[last]
         z_tpu = a_p(last) - aj[last]
         p_tpu = _group_sum(_relu(z_tpu) * ok, ws.co2_spans)
 
     corr = []
-    if vcmax25 is not None:
-        xs, ys = value(vcmax25), value(jmax25)
+    if xs is not None:
         for gi, entries in ws.corr_groups:
             x, y = xs[entries], ys[entries]
             if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
@@ -427,75 +446,108 @@ def _penalties(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
 
     # the columns of each nonneg term, their groups and the groups' spans
     cols = [(ws.entry_group, ws.entry_spans)
-            if value(t).shape == ws.entry_group.shape
+            if t.shape == ws.entry_group.shape
             else (np.arange(ws.n_groups), ws.column_spans) for t in nonneg]
-    for term, (_, spans) in zip(nonneg, cols):
-        p_nn = p_nn + _group_sum(_relu(0.0 - value(term)), spans)
+    for t, (_, spans) in zip(nonneg, cols):
+        p_nn = p_nn + _group_sum(_relu(0.0 - t), spans)
 
     pens = np.array([p_cjp, p_cgj, p_clj, p_tpu, p_corr, p_nn])
 
-    def vjp(g):
-        # d <- (relu(d), relu(0 - d)) through the per-curve margin sums;
-        # A_c's cotangent starts as d's
-        cg = ws.curve_group
-        g_ac = np.repeat(-(g[1][cg] * (z_gt > 0.0)), ws.seg_lengths)
-        g_ac *= pos_d
-        g_lt = np.repeat(-(g[2][cg] * (z_lt > 0.0)), ws.seg_lengths)
-        g_lt *= pos_nd
-        g_ac -= g_lt
-        del g_lt
-        # A_j <- (closest-point max, d, last point); A_c <- (max, d);
-        # A_p <- (closest point, last point)
-        g_aj = -g_ac
-        g_ap = np.zeros(n)
-        if co2.shape[0]:
-            g_hi = g[0][ws.co2_group] * (z_cjp > 0.0)
-            g_aj[jc] += g_hi * take_j
-            g_ac[jc] += g_hi * ~take_j
-            g_ap[jc] = -g_hi * valid[jc]
-        if tpu_on:
-            g_last = g[3][ws.co2_group] * ok * (z_tpu > 0.0)
-            g_aj[last] += -g_last
-            g_ap[last] += g_last
-        g_rates = np.empty((3, n))
-        for out, g_a in zip(g_rates, (g_ac, g_aj, g_ap)):
-            np.multiply(g_a, fv, out=out)
-        g_fac = [None] * 3
-        if isinstance(fac, Var):
-            g_fac = [g_ac * wc, g_ap * wp, g_aj * wj]
-        for g_a in (g_ac, g_ap, g_aj):
-            np.negative(g_a, out=g_a)  # A = W * fac - rd
+    def add(g, g_rates, g_fac, g_rd):
+        # a term's sum is 0 exactly when none of its summands is positive;
+        # a margin term reads the points where its sign of A_c - A_j
+        # holds, and with none it stays at beta and has no gradient
+        none = co2[:0]
+        on_cjp = np.flatnonzero(z_cjp > 0.0) if pens[0].any() else none
+        on_m = np.flatnonzero((z_gt > 0.0) & (s_pos > 0.0)
+                              | (z_lt > 0.0) & (s_neg > 0.0)) \
+            if pens[1:3].any() else none
+        on_tpu = np.flatnonzero((z_tpu > 0.0) & ok) if pens[3].any() \
+            else none
+        # the points they read: every point of a curve whose margin term
+        # is active, the closest point of one whose ordering term is, the
+        # last point of one whose TPU term is
+        j_pts, l_pts = jc[on_cjp], last[on_tpu]
+        m_pts = none
+        if on_m.shape[0]:
+            lens = ws.seg_lengths[on_m]
+            m_curve = np.repeat(on_m, lens)
+            m_pts = np.arange(m_curve.shape[0]) + np.repeat(
+                ws.seg_starts[on_m] - (np.cumsum(lens) - lens), lens)
+        parts = [p for p in (m_pts, j_pts, l_pts) if p.shape[0]]
+        if parts:
+            pts = parts[0]
+            if len(parts) > 1:
+                # sorted and distinct; np.unique would import numpy.ma
+                pts = np.sort(np.concatenate(parts))
+                pts = pts[np.diff(pts, prepend=-1) != 0]
+            # A_c, A_j and A_p there, each summed in the order margin,
+            # closest point, last point
+            g_ac = np.zeros(pts.shape[0])
+            if on_m.shape[0]:
+                cg = ws.curve_group
+                g_gt, g_lt = -(g[cg] * (z_gt > 0.0)), -(g[cg] * (z_lt > 0.0))
+                g_ac[np.searchsorted(pts, m_pts)] = (
+                    g_gt[m_curve] * pos_d[m_pts]
+                    - g_lt[m_curve] * pos_nd[m_pts])
+            g_aj = -g_ac
+            g_ap = np.zeros(pts.shape[0])
+            if on_cjp.shape[0]:
+                at = np.searchsorted(pts, j_pts)
+                g_hi, tj = g[ws.co2_group[on_cjp]], take_j[on_cjp]
+                g_aj[at] += g_hi * tj
+                g_ac[at] += g_hi * ~tj
+                g_ap[at] = -g_hi * valid[j_pts]
+            if on_tpu.shape[0]:
+                at = np.searchsorted(pts, l_pts)
+                g_last = g[ws.co2_group[on_tpu]]
+                g_aj[at] += -g_last
+                g_ap[at] += g_last
+            # rd and fac take A_c's part, then A_p's, then A_j's
+            g_rates[:, pts] += np.stack((g_ac, g_aj, g_ap)) * fv[pts]
+            if g_fac is not None:
+                g_fac[pts] = (g_fac[pts] + g_ac * wc[pts] + g_ap * wp[pts]
+                              + g_aj * wj[pts])
+            g_rd[pts] = g_rd[pts] - g_ac - g_ap - g_aj  # A = W * fac - rd
         g_x = g_y = None
         if corr:
             g_x, g_y = np.zeros(xs.shape[0]), np.zeros(ys.shape[0])
         for gi, entries, m, xc, yc, sxx, syy, den, r in corr:
-            g_r = -(g[4][gi] * (0.7 - r > 0.0))
+            g_r = -(g[gi] * (0.7 - r > 0.0))
             g_num = g_r / den
             g_prod = 0.5 * (-g_r * r / den) / den if den > 0.0 else 0.0
             for out, a, b, g_aa in ((g_x, xc, yc, g_prod * syy),
                                     (g_y, yc, xc, g_prod * sxx)):
                 g_a = g_num * b + g_aa * a + g_aa * a
                 out[entries] = g_a + (-g_a).sum() / m
-        return ([g_ac, g_ap, g_aj, g_rates] + g_fac + [g_x, g_y]
-                + [-(g[5][grp] * (0.0 - value(t) > 0.0))
-                   for t, (grp, _) in zip(nonneg, cols)])
+        return [g_x, g_y] + [-(g[grp] * (0.0 - t > 0.0))
+                             for t, (grp, _) in zip(nonneg, cols)]
 
-    # rd's three cotangents come first, so each is summed and let go
-    # before the rates' is added
-    return fuse(pens, [rd, rd, rd, rates, fac, fac, fac, vcmax25, jmax25]
-                + list(nonneg), vjp)
+    return pens, add
 
 
-def _objective(ws: Workspace, rates, fac, rd, pens):
+def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
+               vcmax25=None, jmax25=None, nonneg=()):
     """The MSE of A = min(Wc, Wj, Wp) * fac - rd plus the penalties.
 
-    One node; returns (total, mse, pred), total and mse with one entry
-    per group. Each group's MSE is divided by its own point count. On
-    light-response curves Wp takes part in the minimum but receives no
-    gradient.
+    One node, the one consumer of rates, fac and rd; returns (total,
+    terms, pred), where total and each of terms, the MSE and the six
+    penalties, have one entry per group. Each group's MSE is divided by
+    its own point count. The penalties are those of `_penalties`, all
+    zero when config.penalties is off; vcmax25 and jmax25 are given for
+    the correlation term only. On light-response curves Wp takes part in
+    the minimum but receives no gradient.
     """
     wc, wj, wp = value(rates)
     fv, rv = value(fac), value(rd)
+    # the penalties first, so that their temporaries are gone before the
+    # MSE's are made
+    p, add = np.zeros((6, ws.n_groups)), None
+    if config.penalties:
+        p, add = _penalties(ws, config, wc, wj, wp, fv, rv, valid,
+                            None if vcmax25 is None else value(vcmax25),
+                            None if jmax25 is None else value(jmax25),
+                            [value(t) for t in nonneg])
     take_c = wc <= wj
     wcj = np.where(take_c, wc, wj)
     take_cj = wcj <= wp
@@ -504,7 +556,6 @@ def _objective(ws: Workspace, rates, fac, rd, pens):
     resid = pred - ws.a
     n = ws.group_n
     mse = _group_sum(resid * resid, ws.pt_spans) / n
-    p = value(pens)
     total = mse + p[0] + p[1] + p[2] + p[3] + p[4] + p[5]
     if not isinstance(fac, Var):
         w = None  # read by the VJP only for fac
@@ -525,13 +576,16 @@ def _objective(ws: Workspace, rates, fac, rd, pens):
             g_wp *= ~ws.light_pt
         g_fac = g_pred * w if isinstance(fac, Var) else None
         np.negative(g_pred, out=g_pred)  # pred = w * fac - rd
-        return g_rates, g_fac, g_pred, np.broadcast_to(g, (6,) + g.shape)
+        if add is None:
+            return g_rates, g_fac, g_pred
+        return [g_rates, g_fac, g_pred] + add(g, g_rates, g_fac, g_pred)
 
-    return fuse(total, (rates, fac, rd, pens), vjp), mse, pred
+    return (fuse(total, [rates, fac, rd, vcmax25, jmax25] + list(nonneg),
+                 vjp), (mse, *p), pred)
 
 
 def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
-              fitted: tuple = ()):
+              fitted: tuple = (), report: bool = True):
     """Loss of a workspace; the one evaluator for values and gradients.
 
     With `fitted` empty every operand is a plain ndarray and the result
@@ -542,7 +596,8 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
     per-curve diagnostics (the A_p - A_j gap at the last point, and its
     validity) computed from forward values, the prediction, and the
     breakdown's terms before they are summed over groups. total has one
-    entry per group.
+    entry per group. With report off the breakdown and aux, which only
+    reporting reads, are not built and come back as None.
     """
     cn = params.constants
     r_gas = cn.r_gas
@@ -608,34 +663,30 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
                                     big=_BIG, terms=fx["terms"])
     fac = _gamma_factor(gamma, c) if fx["fac"] is None else fx["fac"]
 
-    pens = np.zeros((6, ws.n_groups))
+    nonneg, corr = [], False
     if config.penalties:
         # only parameters the configuration actually fits are penalized
         eligible = set(fitted) if fitted \
             else set(fitted_fields(config, ws.light_only))
-        nonneg = []
         if config.positive_rd and "rd25" in eligible:
             nonneg.append(P("rd25"))
         for name in ("dha_vcmax", "dha_jmax", "dha_tpu", "alpha", "theta"):
             if name in eligible:
                 nonneg.append(P(name))
-        # created before the objective, so the backward walk reaches the
-        # objective first: rd and fac then sum their cotangents in the
-        # order pred, A_c, A_p, A_j
         corr = config.r_penalty and ws.corr_groups
-        pens = _penalties(ws, config, rates, valid, fac, rd,
-                          P("vcmax25") if corr else None,
-                          P("jmax25") if corr else None, nonneg)
-    total, mse_value, pred = _objective(ws, rates, fac, rd, pens)
+    total, terms, pred = _objective(ws, config, rates, valid, fac, rd,
+                                    P("vcmax25") if corr else None,
+                                    P("jmax25") if corr else None, nonneg)
+    if not report:
+        return total, None, leaves, None
 
     lf = ws.last_flat
     w_last = value(rates)[:, lf] * value(fac)[lf] - value(rd)[lf]
-    p = value(pens)
     aux = {
         "tpu_gap": np.where(valid[lf], w_last[2] - w_last[1], np.nan),
         "tpu_valid": valid[lf] & ~ws.is_light,
         "pred": pred,
-        "terms": (mse_value, *p, value(total)),
+        "terms": (*terms, value(total)),
     }
     return total, _breakdown(aux["terms"]), leaves, aux
 

@@ -296,13 +296,13 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
 
     for it in range(config.max_iter):
         try:
-            total, breakdown, leaves, aux = _evaluate(ws, params, config,
-                                                      fields)
+            total, _, leaves, _ = _evaluate(ws, params, config, fields,
+                                            report=False)
         except NonPositiveC:
             if it == 0:
                 raise
             raise diverged("g_m substitution left no positive C", it) from None
-        losses = aux["terms"][-1].tolist()
+        losses = engine.value(total).tolist()
         live, restart, stopped = [], [], []
         for gi in running:
             loss = losses[gi]
@@ -331,9 +331,10 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
                 restart.append(gi)
             else:
                 live.append(gi)
-        history.append(breakdown.total)
+        # the same bits as the breakdown's total
+        history.append(sum(losses))
         if callback is not None:
-            callback(it + 1, breakdown.total)
+            callback(it + 1, history[-1])
         if stopped:
             running = [gi for gi in running if gi not in stopped]
             if not running:

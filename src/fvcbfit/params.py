@@ -62,8 +62,12 @@ class FitConfig:
             raise ValueError("light_type must be 0, 1 or 2")
         if self.temp_type not in (0, 1, 2):
             raise ValueError("temp_type must be 0, 1 or 2")
-        if self.lr <= 0 or self.max_iter < 1 or self.beta <= 0:
-            raise ValueError("lr, max_iter and beta must be positive")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not self.beta > 0:
+            raise ValueError("beta must be positive")
 
 
 def _full(n: int, name: str) -> np.ndarray:

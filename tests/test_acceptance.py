@@ -98,6 +98,7 @@ def test_criterion_01_gradient_oracle():
 
 # --- 2. noiseless recovery --------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_02_noiseless_recovery():
     """10 jittered noiseless curves, independent default fits: the main
     three within 1% of truth per curve, per-curve R^2 >= 0.999. Each
@@ -154,6 +155,7 @@ def sigma_half_runs():
     return run_replicates(0.5, seed0=100)
 
 
+@pytest.mark.slow
 def test_criterion_03_noisy_recovery(sigma_half_runs):
     """Cross-curve RMSE of recovered parameters over 10 seeded
     replicates, within the stated bounds at both noise levels."""
@@ -169,6 +171,7 @@ def test_criterion_03_noisy_recovery(sigma_half_runs):
 
 # --- 4. fit quality ----------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_04_fit_quality(sigma_half_runs):
     """At noise 0.5: mean fitted RMSE <= 0.6, mean R^2 >= 0.98."""
     _, results = sigma_half_runs
@@ -181,6 +184,7 @@ def test_criterion_04_fit_quality(sigma_half_runs):
 
 # --- 5. performance ----------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_05_performance():
     """11 curves x 180 points, full 20,000 iterations, < 120 s."""
     truth = ParameterState.single()
@@ -257,6 +261,7 @@ def test_criterion_07_preprocessing_conformance():
 
 # --- 8. positive-Rd contract -------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_positive_rd_contract():
     """True Rd = 0.1 under noise 1.5 across 20 seeds: the constrained
     fit never reports a negative Rd."""

@@ -37,6 +37,26 @@ def test_bad_curve_kind_syntax_is_usage_error(capsys):
     assert "co2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "{data}", "--max-iter", "0"], "max_iter must be at least 1"),
+    (["fit", "{data}", "--lr", "-1"], "lr must be positive"),
+    (["fit", "{data}", "--preprocess", "--window-len", "2"],
+     "window_len must be >= 3"),
+    (["preprocess", "{data}", "-o", "{out}", "--jump-down", "0.1"],
+     "jump_up > 0 > jump_down"),
+    (["synth", "-o", "{out}", "--n-curves", "0"], "--n-curves"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, message):
+    data = synth_file(tmp_path)
+    out = tmp_path / "out.csv"
+    argv = [a.format(data=data, out=out) for a in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"fvcbfit {argv[0]}: error: " in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_missing_input_is_data_error(capsys):
     assert run(["fit", "/nowhere/missing.csv", "-q"]) == 2
     assert "missing.csv" in capsys.readouterr().err

@@ -7,8 +7,7 @@ import pytest
 
 from fvcbfit.data_io import CurveKind, Dataset, GasExchangeRecord, ResponseCurve
 from fvcbfit.engine import Var, fuse, gather, grad, sigmoid, value
-from fvcbfit.loss import Workspace, _gamma_factor, _objective, _penalties, \
-    _site_co2
+from fvcbfit.loss import Workspace, _gamma_factor, _objective, _site_co2
 from fvcbfit.model import arrhenius, electron_transport, limitation_rates, \
     peaked_arrhenius
 from fvcbfit.params import FitConfig, ParameterState
@@ -108,18 +107,15 @@ def test_minimum_maximum_adjoints():
     rates0[:, 5] = (30.0, 40.0, 20.0)
     fac = RNG.uniform(0.8, 1.0, size=16)
     rd = np.full(16, 1.5)
-    cfg = FitConfig()
     valid = np.ones(16, dtype=bool)
-    check_against_fd(lambda r: _objective(ws, r, fac, rd, np.zeros(6))[0],
-                     rates0)
-    check_against_fd(lambda r: total(_penalties(ws, cfg, r, valid, fac, rd,
-                                                None, None, []),
-                                     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-                     rates0)
+    for cfg in (FitConfig(penalties=False), FitConfig(tpu_penalty=False)):
+        check_against_fd(lambda r: _objective(ws, cfg, r, valid, fac, rd)[0],
+                         rates0)
 
 
 def test_penalty_block_adjoint_matches_finite_differences():
-    # seven curves of four points, with every penalty term active:
+    # the objective node over seven curves of four points, with every
+    # penalty term active:
     # A_c and A_j cross within each curve, A_p dips below both at the
     # closest point and rises above A_j at the last one, the Vcmax/Jmax
     # correlation is below 0.7, and one fitted scalar is negative
@@ -137,21 +133,19 @@ def test_penalty_block_adjoint_matches_finite_differences():
     valid = np.ones(28, dtype=bool)
     valid[0] = False
     cfg = FitConfig(r_penalty=True)
-    w = [1.0, 1.5, 0.5, 2.0, 3.0, 0.7]
     args = [rates0, fac0, rd0, v0, j0, k0]
 
     def build(rates, fac, rd, v, j, k):
-        return total(_penalties(ws, cfg, rates, valid, fac, rd, v, j, [k]), w)
+        return _objective(ws, cfg, rates, valid, fac, rd, v, j, [k])[0]
 
-    assert np.all(value(build(*args)) > 0.0)
-    assert np.all(value(_penalties(ws, cfg, *args[:1], valid, *args[1:5],
-                                   [k0])) > 0.0)
+    terms = _objective(ws, cfg, rates0, valid, fac0, rd0, v0, j0, [k0])[1]
+    assert np.all(np.array(terms) > 0.0)
     leaves = [Var(x) for x in args]
     for k, ga in enumerate(grad(build(*leaves), leaves)):
         def f(x, k=k):
             call = list(args)
             call[k] = x
-            return float(value(build(*call)))
+            return float(value(build(*call)).sum())
         np.testing.assert_allclose(ga, fd_grad(f, args[k]), rtol=1e-6,
                                    atol=1e-8, err_msg=f"argument {k}")
 
@@ -163,22 +157,26 @@ def test_minimum_tie_routes_gradient_to_first_argument():
                           [20.0, 20.0, 30.0],
                           [40.0, 20.0, 30.0]]))
     rd = Var(np.zeros(3))
-    (g,) = grad(_objective(ws, rates, np.ones(3), rd, np.zeros(6))[0],
+    (g,) = grad(_objective(ws, FitConfig(penalties=False), rates,
+                           np.ones(3, dtype=bool), np.ones(3), rd)[0],
                 [rates])
     assert np.all(g[0] != 0.0)
     np.testing.assert_array_equal(g[1:], 0.0)
 
 
 def test_maximum_tie_routes_gradient_to_first_argument():
-    ws = workspace([[10.0, 10.0, 10.0]])
-    # A_j == A_c at point 1, the closest point, where A_p sits below both
+    # A_j == A_c at point 1, the closest point, where A_p sits below both;
+    # the measurements equal the prediction, so only the ordering term,
+    # the one penalty active, has a gradient
+    ws = workspace([[10.0, 5.0, 25.0]])
     rates = Var(np.array([[10.0, 20.0, 40.0],
                           [30.0, 20.0, 25.0],
                           [50.0, 5.0, 50.0]]))
-    pens = _penalties(ws, FitConfig(), rates, np.ones(3, dtype=bool),
-                      np.ones(3), np.zeros(3), None, None, [])
-    assert value(pens)[0] == 15.0
-    (g,) = grad(total(pens, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), [rates])
+    root, terms, _ = _objective(ws, FitConfig(tpu_penalty=False), rates,
+                                np.ones(3, dtype=bool), np.ones(3),
+                                np.zeros(3))
+    assert [t[0] for t in terms] == [0.0, 15.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    (g,) = grad(root, [rates])
     np.testing.assert_array_equal(g, [[0.0, 0.0, 0.0],
                                       [0.0, 1.0, 0.0],
                                       [0.0, -1.0, 0.0]])
@@ -188,10 +186,10 @@ def test_relu_subgradient_at_zero_is_zero():
     # the non-negativity penalty max(0, -k) at k = 0
     ws = workspace([[10.0, 10.0, 10.0]])
     k = Var(np.array([-1.0, 0.0, 2.0]))
-    pens = _penalties(ws, FitConfig(), np.full((3, 3), 10.0),
+    root = _objective(ws, FitConfig(), np.full((3, 3), 10.0),
                       np.ones(3, dtype=bool), np.ones(3), np.zeros(3),
-                      None, None, [k])
-    (g,) = grad(total(pens, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), [k])
+                      None, None, [k])[0]
+    (g,) = grad(root, [k])
     np.testing.assert_array_equal(g, [-1.0, 0.0, 0.0])
 
 
@@ -232,8 +230,9 @@ def test_frozen_wp_receives_no_gradient_on_light_curves():
     # Wp is the minimum everywhere; curve 1 is a light-response curve
     ws = workspace([[10.0, 10.0], [10.0, 10.0]], light=(1,))
     rates = Var(np.array([[30.0] * 4, [30.0] * 4, [20.0] * 4]))
-    total_, _, pred = _objective(ws, rates, np.ones(4), np.zeros(4),
-                                 np.zeros(6))
+    total_, _, pred = _objective(ws, FitConfig(penalties=False), rates,
+                                 np.ones(4, dtype=bool), np.ones(4),
+                                 np.zeros(4))
     np.testing.assert_array_equal(pred, 20.0)
     (g,) = grad(total_, [rates])
     np.testing.assert_array_equal(g[2], [5.0, 5.0, 0.0, 0.0])
@@ -250,19 +249,23 @@ def test_gather_accumulates_duplicate_indices():
 
 def test_segment_sum_forward_and_adjoint():
     # the intersection penalties sum max(0, A_c - A_j) over each curve
-    # and hand every point of a curve that curve's cotangent
-    ws = workspace([[0.0, 0.0], [0.0, 0.0, 0.0], [0.0]])
-    rates = Var(np.array([[3.0, 1.0, 9.0, 2.0, 4.0, 6.0],
-                          [2.0, 3.0, 1.0, 5.0, 1.0, 0.0],
-                          [99.0] * 6]))
+    # and hand every point of a curve that curve's cotangent; the
+    # measurements equal the prediction and every curve's negative parts
+    # reach beta, so only p_c_gt_j has a gradient
+    ws = workspace([[2.0, 1.0], [1.0, 2.0, 1.0], [0.0, 1.0]])
+    rates = Var(np.array([[3.0, 1.0, 9.0, 2.0, 4.0, 6.0, 1.0],
+                          [2.0, 10.0, 1.0, 11.0, 1.0, 0.0, 10.0],
+                          [99.0] * 7]))
     cfg = FitConfig(beta=8.0, tpu_penalty=False)
-    pens = _penalties(ws, cfg, rates, np.ones(6, dtype=bool), np.ones(6),
-                      np.zeros(6), None, None, [])
+    root, terms, _ = _objective(ws, cfg, rates, np.ones(7, dtype=bool),
+                                np.ones(7), np.zeros(7))
     # positive parts per curve: 1, 8 + 3 = 11, 6
-    assert value(pens)[1] == (8.0 - 1.0) + 0.0 + (8.0 - 6.0)
-    (g,) = grad(total(pens, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), [rates])
-    np.testing.assert_array_equal(g[0], [-1.0, 0.0, 0.0, 0.0, 0.0, -1.0])
-    np.testing.assert_array_equal(g[1], [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    assert [t[0] for t in terms] == [0.0, 0.0, (8.0 - 1.0) + 0.0 + (8.0 - 6.0),
+                                     0.0, 0.0, 0.0, 0.0]
+    (g,) = grad(root, [rates])
+    np.testing.assert_array_equal(g[0], [-1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+    np.testing.assert_array_equal(g[1], [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(g[2], 0.0)
 
 
 def test_broadcast_gradients_unbroadcast_back():
@@ -355,8 +358,7 @@ def test_composite_expression_matches_finite_differences():
         rates, valid = limitation_rates(c, vmax, jmax, tpu, gamma, 404.9,
                                         278.4, 210.0, 0.1, big=1e9)
         fac = _gamma_factor(gamma, c)
-        pens = _penalties(ws, cfg, rates, valid, fac, rd, None, None, [rd])
-        return _objective(ws, rates, fac, rd, pens)[0]
+        return _objective(ws, cfg, rates, valid, fac, rd, None, None, [rd])[0]
 
     x0 = np.array([100.0, 200.0, 11.0, 1.5])
     assert 0.0 < value(build(x0)) < 1e3

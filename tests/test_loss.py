@@ -10,15 +10,16 @@ import pytest
 
 from fvcbfit.constants import FvCBConstants
 from fvcbfit.data_io import CurveKind, Dataset, GasExchangeRecord, ResponseCurve
-from fvcbfit.engine import grad, sigmoid, value
+from fvcbfit.engine import Var, fuse, grad, sigmoid, value
 from fvcbfit.errors import FvcbError, LengthMismatch, NonPositiveC
 from fvcbfit.loss import (
-    Workspace, _evaluate, find_jc_index, mse, penalty_cjp,
+    Workspace, _evaluate, _objective, find_jc_index, mse, penalty_cjp,
     penalty_intersections, penalty_nonneg, penalty_tpu_transition,
     penalty_vj_correlation, total_loss,
 )
 from fvcbfit.metrics import pearson_r
 from fvcbfit.model import limitation_rates, predict_curve
+from fvcbfit.optimizer import split_by_group
 from fvcbfit.params import FitConfig, ParameterState, fitted_fields
 from fvcbfit.synth import generate_dataset
 
@@ -361,3 +362,143 @@ def test_dense_iteration_working_set_stays_bounded():
         tracemalloc.stop()
     assert ws.n_points == 20000
     assert peak / (8 * ws.n_points) < WORKING_SET_BOUND
+
+
+# --- the penalty gradient, added only where a term is active -------------
+
+def gradient_bytes(ws, params, cfg):
+    fitted = fitted_fields(cfg, ws.light_only)
+    total, _, leaves, _ = _evaluate(ws, params, cfg, fitted)
+    return value(total).tobytes(), [g.tobytes() for g in
+                                    grad(total, [leaves[f] for f in fitted])]
+
+
+def test_inactive_penalties_leave_the_gradient_bytes_of_the_mse():
+    ds, _ = generate_dataset(ParameterState.single(), n_curves=3,
+                             noise_sd=0.5, seed=3)
+    params = ParameterState.defaults(curve_ids=(0, 1, 2), tpu25=15.0)
+    terms = _evaluate(Workspace(ds, params), params, FitConfig())[3]["terms"]
+    assert all(not np.any(t) for t in terms[1:7])
+    assert np.all(terms[0] > 0.0)
+    on = gradient_bytes(Workspace(ds, params), params, FitConfig())
+    off = gradient_bytes(Workspace(ds, params), params,
+                         FitConfig(penalties=False))
+    assert on == off
+
+
+def objective_workspace():
+    """Three A/Ci curves of five points at Ci = 100 ... 500; curves 0 and
+    1 are fitting group 0, curve 2 is group 1."""
+    rng = np.random.default_rng(3)
+    groups = (0, 0, 1)
+    curves = tuple(ResponseCurve.from_records(
+        curve_id=cid, fitting_group=grp, kind=CurveKind.CO2Response,
+        records=tuple(GasExchangeRecord(curve_id=cid, fitting_group=grp,
+                                        ci=100.0 * (k + 1),
+                                        a=float(rng.uniform(5.0, 30.0)),
+                                        qin=2000.0, tleaf_c=25.0)
+                      for k in range(5)))
+        for cid, grp in enumerate(groups))
+    ds = Dataset(curves=curves, groups={0: [0, 1], 1: [2]})
+    return Workspace(ds, ParameterState.defaults(
+        curve_ids=(0, 1, 2), group_of_curve=dict(enumerate(groups))))
+
+
+# Wc, Wj and Wp of one curve whose A_c and A_j cross with both margins
+# met, at a closest point (index 2) where A_p is far above both, and
+# with A_p below A_j at the last point: no penalty term is active.
+QUIET_CURVE = np.array([[10.0, 20.0, 30.0, 40.0, 50.0],
+                        [30.0, 32.0, 33.0, 36.0, 38.0],
+                        [100.0, 100.0, 100.0, 100.0, 30.0]])
+
+# (one curve's rates, the penalty terms then active): A_p dips below the
+# closest point; A_c rises above A_j by only 7 before the end; A_c stays
+# above A_j by 6 in all, so both margins are missed but only one has a
+# gradient; A_p ends above A_j; the closest point is the last one, where
+# A_c > A_p > A_j
+ACTIVE_CURVES = {
+    "ordering": ([[10.0, 20.0, 30.0, 40.0, 50.0],
+                  [30.0, 32.0, 33.0, 36.0, 38.0],
+                  [100.0, 100.0, 25.0, 100.0, 30.0]], (1,)),
+    "margin": ([[10.0, 20.0, 30.0, 40.0, 50.0],
+                [30.0, 32.0, 33.5, 37.0, 46.0],
+                [100.0, 100.0, 100.0, 100.0, 30.0]], (2,)),
+    "margin_on_one_side": ([[31.0, 33.0, 34.0, 37.0, 40.0],
+                            [30.0, 32.0, 33.0, 36.0, 38.0],
+                            [100.0, 100.0, 100.0, 100.0, 30.0]], (2, 3)),
+    "tpu": ([[10.0, 20.0, 30.0, 40.0, 50.0],
+             [30.0, 32.0, 33.0, 36.0, 38.0],
+             [100.0, 100.0, 100.0, 100.0, 45.0]], (4,)),
+    "ordering_and_tpu_at_last_point": ([[10.0, 20.0, 30.0, 40.0, 54.0],
+                                        [50.0, 55.0, 60.0, 62.0, 52.0],
+                                        [100.0, 100.0, 100.0, 100.0, 53.0]],
+                                       (1, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACTIVE_CURVES))
+def test_active_penalty_gradient_matches_finite_differences(case):
+    # the active curve is the third, alone in group 1, whose loss is
+    # weighted apart from group 0's so the gradient must follow the
+    # group's own cotangent
+    ws = objective_workspace()
+    rng = np.random.default_rng(11)
+    curve, active = ACTIVE_CURVES[case]
+    rates0 = np.concatenate([QUIET_CURVE, QUIET_CURVE, np.array(curve)],
+                            axis=1)
+    fac0 = rng.uniform(0.9, 1.0, size=15)
+    rd0 = rng.uniform(0.5, 1.5, size=15)
+    valid = np.ones(15, dtype=bool)
+    cfg = FitConfig()
+    w = np.array([1.0, 2.5])
+
+    def loss(rates, fac, rd):
+        total, terms, _ = _objective(ws, cfg, rates, valid, fac, rd)
+        return fuse((value(total) * w).sum(), (total,),
+                    lambda g: (g * w,)), terms
+
+    terms = loss(rates0, fac0, rd0)[1]
+    assert not any(t[0] for t in terms[1:])
+    assert tuple(i for i in range(1, 7) if terms[i][1] > 0.0) == active
+    leaves = [Var(x) for x in (rates0, fac0, rd0)]
+    got = grad(loss(*leaves)[0], leaves)
+    args = [rates0, fac0, rd0]
+    for k, (x0, g) in enumerate(zip(args, got)):
+        fd = np.zeros_like(x0)
+        for idx in np.ndindex(x0.shape):
+            h = 1e-6 * max(1.0, abs(x0[idx]))
+            hi, lo = x0.copy(), x0.copy()
+            hi[idx] += h
+            lo[idx] -= h
+            f = [float(loss(*(args[:k] + [x] + args[k + 1:]))[0])
+                 for x in (hi, lo)]
+            fd[idx] = (f[0] - f[1]) / (2.0 * h)
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7,
+                                   err_msg=f"argument {k}")
+
+
+def test_groups_without_active_terms_keep_their_bytes_beside_active_ones():
+    # group 0's TPU25 puts A_p above A_j at the last point and its Rd25
+    # is negative; group 1 has no active term
+    ds = two_group_temperature_dataset(light=False)
+    cfg = FitConfig()
+    params = ParameterState.defaults(
+        curve_ids=[c.curve_id for c in ds.curves],
+        group_of_curve={c.curve_id: c.fitting_group for c in ds.curves},
+        tpu25=15.0)
+    params.tpu25[:3] = 20.0
+    params.rd25[0] = -0.2
+    ws = Workspace(ds, params)
+    penalties = np.array(_evaluate(ws, params, cfg)[3]["terms"][1:7])
+    assert penalties[:, 0].any() and not penalties[:, 1].any()
+    total, grads = gradient_bytes(ws, params, cfg)
+    fitted = fitted_fields(cfg, ws.light_only)
+    whole = [np.frombuffer(g) for g in grads]
+    for gi, (gid, sub) in enumerate(split_by_group(ds)):
+        part = params.select_group(gi)
+        alone, alone_grads = gradient_bytes(Workspace(sub, part), part, cfg)
+        assert np.frombuffer(total)[gi:gi + 1].tobytes() == alone
+        ea, eb = ws.entry_spans[gi]
+        for f, g, g_alone in zip(fitted, whole, alone_grads):
+            cut = g[ea:eb] if g.shape == ws.entry_group.shape else g[gi:gi + 1]
+            assert cut.tobytes() == g_alone, f

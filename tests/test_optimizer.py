@@ -290,6 +290,49 @@ def test_best_point_is_evaluated_again_only_when_not_the_endpoint(
         assert res.tpu_stage[cid] == (ok and gap < -optimizer.TPU_STAGE_MARGIN)
 
 
+def test_fit_calls_its_layers_under_their_module_names(monkeypatch):
+    # fit() looks each layer up on its module at call time, so a stand-in
+    # set there (as a tracer sets one) sees every call: one taped
+    # evaluation per iteration, whose first return value is the root
+    # engine.grad differentiates, then the endpoint's plain evaluation
+    real_eval, real_grad = optimizer._evaluate, optimizer.engine.grad
+    evals, roots = [], []
+    counts = dict.fromkeys(("adam_step", "_project", "Workspace",
+                            "predict_curve"), 0)
+
+    def stand_in(*args, **kwargs):
+        out = real_eval(*args, **kwargs)
+        evals.append((args, out[0]))
+        return out
+
+    def counting_grad(root, leaves):
+        roots.append(root)
+        return real_grad(root, leaves)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "_evaluate", stand_in)
+    monkeypatch.setattr(optimizer.engine, "grad", counting_grad)
+    for name in counts:
+        monkeypatch.setattr(optimizer, name,
+                            counting(name, getattr(optimizer, name)))
+    ds, _ = generate_dataset(ParameterState.single(), n_curves=2,
+                             noise_sd=0.5, seed=50)
+    res = fit(ds, FitConfig(max_iter=25))
+    taped = [root for args, root in evals if len(args) > 3 and args[3]]
+    assert len(evals) == 26 and len(taped) == 25
+    assert all(isinstance(root, Var) for root in taped)
+    assert len(roots) == 25
+    assert all(r is t for r, t in zip(roots, taped))
+    assert counts == {"adam_step": 25, "_project": 25, "Workspace": 1,
+                      "predict_curve": 2}
+    assert res.final_loss == res.loss_history[-1]
+
+
 def test_callback_sees_every_iteration():
     ds, _ = generate_dataset(ParameterState.single(), noise_sd=0.5, seed=50)
     seen = []
