@@ -61,27 +61,35 @@ def _add_model_flags(p):
                    help="temperature response: 0 none, 1 Arrhenius, 2 peaked")
 
 
+# the preprocessing flags and the PreprocessConfig fields they set; a
+# flag left out keeps the field's default
+PREPROCESS_FLAGS = {"--window-len": "window_len",
+                    "--smooth-ci-threshold": "smooth_ci_threshold",
+                    "--jump-up": "jump_up", "--jump-down": "jump_down",
+                    "--min-points-factor": "min_points_factor"}
+
+
 def _add_preprocess_flags(p):
     g = p.add_argument_group("preprocessing")
-    g.add_argument("--window-len", type=int, default=10,
+    g.add_argument("--window-len", type=int,
                    help="smoothing window length (points)")
-    g.add_argument("--smooth-ci-threshold", type=float, default=600.0,
+    g.add_argument("--smooth-ci-threshold", type=float,
                    help="smooth only points with Ci above this")
-    g.add_argument("--jump-up", type=float, default=0.06,
+    g.add_argument("--jump-up", type=float,
                    help="rise in A between neighbouring points (absolute, "
                         "umol m-2 s-1) flagged as an end spike")
-    g.add_argument("--jump-down", type=float, default=-0.06,
+    g.add_argument("--jump-down", type=float,
                    help="drop in A between neighbouring points (absolute, "
                         "umol m-2 s-1, negative) flagged as an end spike")
-    g.add_argument("--min-points-factor", type=int, default=3,
+    g.add_argument("--min-points-factor", type=int,
                    help="skip preprocessing below factor*window_len points")
 
 
 def _preprocess_config(args) -> PreprocessConfig:
-    return PreprocessConfig(window_len=args.window_len,
-                            smooth_ci_threshold=args.smooth_ci_threshold,
-                            jump_up=args.jump_up, jump_down=args.jump_down,
-                            min_points_factor=args.min_points_factor)
+    given = {field: getattr(args, field)
+             for field in PREPROCESS_FLAGS.values()}
+    return PreprocessConfig(**{field: value for field, value in given.items()
+                               if value is not None})
 
 
 def _add_fit_flags(p):
@@ -207,6 +215,9 @@ def _check(args):
             raise ValueError("--n-curves must be at least 1")
         if args.cmd == "fit":
             args.fit_config = _fit_config(args)
+            for flag, field in PREPROCESS_FLAGS.items():
+                if not args.preprocess and getattr(args, field) is not None:
+                    raise ValueError(f"{flag} requires --preprocess")
         if args.cmd == "preprocess" or getattr(args, "preprocess", False):
             args.preprocess_config = _preprocess_config(args)
     except ValueError as e:

@@ -18,6 +18,15 @@ each group's entry has the bits it has in a workspace of that group
 alone. `total_loss` and the LossBreakdown of a multi-group dataset
 report each term summed over the groups, in group order.
 
+A group's sum over its span of points, curves or columns is the span's
+own .sum(), 0.0 plus the pairwise sum of the span. All groups are summed
+in one np.add.reduceat over a buffer that holds a 0.0 before each span
+(`_group_sum`): reduceat starts each span from its first element, so the
+leading zero gives it the same start. The non-negativity term sums every
+penalized field in one such call and adds the per-field rows in field
+order, starting from the first row, which equals 0 + row since every
+row is >= +0.
+
 The standalone penalty functions below operate on plain numpy series
 and define the reference semantics; the batched evaluator `total_loss`
 computes the same quantities vectorized across curves, and doubles as
@@ -188,9 +197,10 @@ class Workspace:
     curve by ascending Ci, independent of input order, so losses and
     gradients are invariant to permutations of the input. Each fitting
     group's curves, points and main-four entries are therefore
-    contiguous, and the *_spans attributes hold each group's (start,
-    end) over them. fixed holds the operands `_fixed_operands` built
-    last, and fixed_key what they were built from.
+    contiguous, and the *_spans attributes (`_Spans`) hold each group's
+    (start, end) over them. fixed holds the operands `_fixed_operands`
+    built last, and fixed_key what they were built from; nonneg and
+    nonneg_key likewise for `_nonneg_layout`.
     """
 
     __slots__ = ("ci", "a", "qin", "tk", "pt_entry", "pt_group",
@@ -201,7 +211,7 @@ class Workspace:
                  "n_groups", "group_n",
                  "pt_spans", "curve_spans", "co2_spans", "entry_spans",
                  "column_spans", "entry_group", "co2_group",
-                 "fixed_key", "fixed")
+                 "fixed_key", "fixed", "nonneg_key", "nonneg")
 
     def __init__(self, dataset: Dataset, params: ParameterState):
         by_id = {c.curve_id: c for c in dataset.curves}
@@ -253,12 +263,12 @@ class Workspace:
         self.n_groups = k
         cuts = np.searchsorted(params.group_of, np.arange(k + 1))
         pt_cuts = np.append(self.seg_starts, self.n_points)[cuts]
-        self.curve_spans = _spans(cuts)
-        self.pt_spans = _spans(pt_cuts)
-        self.co2_spans = _spans(np.searchsorted(self.co2_curves, cuts))
-        self.entry_spans = _spans(np.searchsorted(self.entry_group,
+        self.curve_spans = _Spans(cuts)
+        self.pt_spans = _Spans(pt_cuts)
+        self.co2_spans = _Spans(np.searchsorted(self.co2_curves, cuts))
+        self.entry_spans = _Spans(np.searchsorted(self.entry_group,
                                                   np.arange(k + 1)))
-        self.column_spans = _spans(np.arange(k + 1))
+        self.column_spans = _Spans(np.arange(k + 1))
         self.group_n = np.diff(pt_cuts).astype(np.float64)
         # groups eligible for the correlation penalty
         self.corr_groups = []
@@ -268,21 +278,67 @@ class Workspace:
                 if entries.shape[0] >= MIN_CURVES_FOR_R:
                     self.corr_groups.append((gi, entries.copy()))
         self.fixed_key = self.fixed = None
+        self.nonneg_key = self.nonneg = None
 
 
-def _spans(cuts) -> list:
-    c = cuts.tolist()
-    return list(zip(c[:-1], c[1:]))
+class _Spans:
+    """Consecutive spans that cover an array, one per group, given by
+    their cuts (0, ..., n), and what `_group_sum` needs to sum them in
+    one call: where each element goes in a buffer that holds a 0.0
+    before each span (dest; None for one span), where each padded span
+    starts, and the buffer's size."""
+
+    __slots__ = ("cuts", "bounds", "dest", "starts", "size")
+
+    def __init__(self, cuts):
+        self.cuts = np.asarray(cuts, dtype=np.intp)
+        c = self.cuts.tolist()
+        self.bounds = list(zip(c[:-1], c[1:]))
+        k = len(self.bounds)
+        self.size = c[-1] + k
+        self.starts = self.cuts[:-1] + np.arange(k)
+        self.dest = None if k == 1 else np.arange(c[-1]) + np.repeat(
+            np.arange(1, k + 1), np.diff(self.cuts))
 
 
-def _group_sum(x, spans):
-    """x summed over each group's span.
+def _group_sum(x, spans: _Spans):
+    """x summed over each span, one entry per span.
 
-    Each span is summed on its own with .sum(), so a group's sum has the
-    bits it has in a workspace of that group alone; np.add.reduceat
-    would add in a different order.
+    Each entry has the bits of that span's own .sum(), so a group's sum
+    is the one it has in a workspace of that group alone. .sum() adds the
+    pairwise sum of the span to a starting 0.0, while np.add.reduceat
+    starts a span from its first element: so the spans are copied into a
+    buffer that holds a 0.0 before each one, and reduceat sums the padded
+    spans, 0.0 + pairwise(span) each. One span is summed directly.
     """
-    return np.array([x[a:b].sum() for a, b in spans])
+    if spans.dest is None:
+        return x.sum(keepdims=True)
+    buf = np.zeros(spans.size)
+    buf[spans.dest] = x
+    return np.add.reduceat(buf, spans.starts)
+
+
+def _nonneg_layout(ws: Workspace, nonneg) -> tuple:
+    """How the penalty sums the concatenated nonneg fields: the spans of
+    each (field, group) pair, the group of each column and each field's
+    slice. A main-four field has one column per entry, a shared field one
+    per group; kept on the workspace for the last field lengths seen."""
+    key = [t.shape[0] for t in nonneg]
+    if ws.nonneg_key != key:
+        cuts, groups, slices, off = [], [], [], 0
+        for n in key:
+            spans, grp = (ws.entry_spans, ws.entry_group) \
+                if n == ws.entry_group.shape[0] \
+                else (ws.column_spans, np.arange(ws.n_groups))
+            cuts.append(off + spans.cuts[:-1])
+            groups.append(grp)
+            slices.append(slice(off, off + n))
+            off += n
+        cuts.append([off])
+        ws.nonneg_key = key
+        ws.nonneg = (_Spans(np.concatenate(cuts)), np.concatenate(groups),
+                     slices)
+    return ws.nonneg
 
 
 def _site_co2(ci, a, gm):
@@ -444,12 +500,15 @@ def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fv, rv, valid,
             p_corr[gi] = _relu(0.7 - r)
             corr.append((gi, entries, m, xc, yc, sxx, syy, den, r))
 
-    # the columns of each nonneg term, their groups and the groups' spans
-    cols = [(ws.entry_group, ws.entry_spans)
-            if t.shape == ws.entry_group.shape
-            else (np.arange(ws.n_groups), ws.column_spans) for t in nonneg]
-    for t, (_, spans) in zip(nonneg, cols):
-        p_nn = p_nn + _group_sum(_relu(0.0 - t), spans)
+    if nonneg:
+        # every field at once: one (field, group) sum per pair, the rows
+        # added in field order; 0 + row_0 is row_0 exactly, as each row
+        # is >= +0
+        nn_spans, nn_group, nn_slices = _nonneg_layout(ws, nonneg)
+        nn = 0.0 - np.concatenate(nonneg)
+        nn_on = nn > 0.0
+        rows = _group_sum(np.where(nn_on, nn, 0.0), nn_spans)
+        p_nn = np.add.accumulate(rows.reshape(len(nonneg), -1))[-1]
 
     pens = np.array([p_cjp, p_cgj, p_clj, p_tpu, p_corr, p_nn])
 
@@ -520,8 +579,10 @@ def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fv, rv, valid,
                                     (g_y, yc, xc, g_prod * sxx)):
                 g_a = g_num * b + g_aa * a + g_aa * a
                 out[entries] = g_a + (-g_a).sum() / m
-        return [g_x, g_y] + [-(g[grp] * (0.0 - t > 0.0))
-                             for t, (grp, _) in zip(nonneg, cols)]
+        if not nonneg:
+            return [g_x, g_y]
+        g_nn = -(g[nn_group] * nn_on)
+        return [g_x, g_y] + [g_nn[sl] for sl in nn_slices]
 
     return pens, add
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,21 +89,26 @@ def adam_step(state: AdamState, values: np.ndarray, grad: np.ndarray,
     are not to be read again until a restart.
     """
     if live is None:
-        live = np.ones(state.t.shape[0], dtype=bool)
-    state.t[live] += 1
-    # bias corrections per problem in Python floats: numpy's power of an
-    # array can differ from Python's in the last bit
-    c1 = np.array([1.0 - state.beta1 ** t if t else 1.0
-                   for t in state.t.tolist()])
-    c2 = np.array([1.0 - state.beta2 ** t if t else 1.0
-                   for t in state.t.tolist()])
+        state.t += 1
+    else:
+        state.t[live] += 1
+    # bias corrections in Python floats, once per distinct step count:
+    # numpy's power of an array can differ from Python's in the last bit
+    ts = sorted(set(state.t.tolist()))
+    c1 = [1.0 - state.beta1 ** t if t else 1.0 for t in ts]
+    c2 = [1.0 - state.beta2 ** t if t else 1.0 for t in ts]
     gi = state.group
+    if len(ts) == 1:
+        (c1,), (c2,) = c1, c2
+    else:
+        at = np.searchsorted(ts, state.t)[gi]
+        c1, c2 = np.array(c1)[at], np.array(c2)[at]
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = state.m / c1[gi]
-    vhat = state.v / c2[gi]
+    mhat = state.m / c1
+    vhat = state.v / c2
     new = values - state.lr[gi] * mhat / (np.sqrt(vhat) + state.eps)
-    return np.where(live[gi], new, values)
+    return new if live is None else np.where(live[gi], new, values)
 
 
 @dataclass(frozen=True)
@@ -197,31 +203,47 @@ class _Packing:
             getattr(params, name)[:] = flat[self.slices[name]]
 
 
-def _project(flat: np.ndarray, packing: _Packing, params: ParameterState,
-             config: FitConfig) -> None:
-    # Hard feasibility guards, applied after every step. Soft preferences
-    # are the penalties' job; these only keep the model evaluable.
-    def clip(name, lo=None, hi=None):
+def _bounds(packing: _Packing, params: ParameterState,
+            config: FitConfig) -> tuple:
+    """Lower and upper bounds of each coordinate of the flat vector, -inf
+    and +inf where a field has none.
+
+    These are hard feasibility guards, applied after every step. Soft
+    preferences are the penalties' job; these only keep the model
+    evaluable.
+    """
+    lo = np.full(packing.size, -np.inf)
+    hi = np.full(packing.size, np.inf)
+
+    def bound(name, low=-np.inf, high=np.inf):
         if name in packing.slices:
             sl = packing.slices[name]
-            np.clip(flat[sl], lo, hi, out=flat[sl])
+            lo[sl], hi[sl] = low, high
 
     if config.positive_rd:
-        clip("rd25", lo=0.0)
+        bound("rd25", low=0.0)
     if config.temp_type == 2:
         cn = params.constants
         # peaked form needs dhd > dha > 0
-        clip("dha_vcmax", lo=1e-6, hi=cn.dhd_vcmax - 1.0)
-        clip("dha_jmax", lo=1e-6, hi=cn.dhd_jmax - 1.0)
-        clip("dha_tpu", lo=1e-6, hi=cn.dhd_tpu - 1.0)
+        bound("dha_vcmax", low=1e-6, high=cn.dhd_vcmax - 1.0)
+        bound("dha_jmax", low=1e-6, high=cn.dhd_jmax - 1.0)
+        bound("dha_tpu", low=1e-6, high=cn.dhd_tpu - 1.0)
         for name in ("topt_vcmax", "topt_jmax", "topt_tpu"):
-            clip(name, lo=200.0, hi=400.0)
-    clip("alpha", lo=1e-6)
+            bound(name, low=200.0, high=400.0)
+    bound("alpha", low=1e-6)
     # above 1 the non-rectangular hyperbola's discriminant can go negative
-    clip("theta", lo=1e-6, hi=1.0)
-    clip("gm", lo=1e-3)
+    bound("theta", low=1e-6, high=1.0)
+    bound("gm", low=1e-3)
     for name in ("kc25", "ko25", "gamma25"):
-        clip(name, lo=1e-6)
+        bound(name, low=1e-6)
+    return lo, hi
+
+
+def _project(flat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Clip flat into [lo, hi] in place, with np.clip's bits: a NaN
+    stays, and a bound wins a tie (0.0 against -0.0)."""
+    np.maximum(flat, lo, out=flat)
+    np.minimum(flat, hi, out=flat)
 
 
 def fit(dataset: Dataset, config: FitConfig | None = None,
@@ -273,19 +295,21 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
     ws = Workspace(dataset, params)
     fields = fitted_fields(config, ws.light_only)
     packing = _Packing(params, fields, ws.entry_group)
+    lo, hi = _bounds(packing, params, config)
     flat = packing.pack(params)
     k = ws.n_groups
     state = AdamState.zeros(packing.size, lr=config.lr, group=packing.group)
-    coords = [np.flatnonzero(packing.group == gi) for gi in range(k)]
 
+    # the per-group bookkeeping is arrays over the groups, so one
+    # iteration costs the same number of numpy calls for any group count
     history = []                 # the loss summed over groups
-    hist = [[] for _ in range(k)]
-    best_loss = [np.inf] * k
+    table = np.empty((min(config.max_iter, 1024), k))  # each group's loss
+    best_loss = np.full(k, np.inf)
     best_flat = flat.copy()
-    since_best = [0] * k
-    streak = [0] * k
-    steps = [0] * k
-    running = list(range(k))     # groups not stopped early
+    mark = np.zeros(k, dtype=np.intp)  # iteration of the last best or restart
+    streak = np.zeros(k, dtype=np.intp)
+    running = np.ones(k, dtype=bool)  # groups not stopped early
+    rows = np.zeros(k, dtype=np.intp)  # table rows of a stopped group
 
     def diverged(msg, it):
         good = None
@@ -302,90 +326,94 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
             if it == 0:
                 raise
             raise diverged("g_m substitution left no positive C", it) from None
-        losses = engine.value(total).tolist()
-        live, restart, stopped = [], [], []
-        for gi in running:
-            loss = losses[gi]
-            if not np.isfinite(loss):
-                raise diverged(f"loss became {loss}", it)
-            h = hist[gi]
-            h.append(loss)
-            if loss < best_loss[gi]:
-                best_loss[gi] = loss
-                best_flat[coords[gi]] = flat[coords[gi]]
-                since_best[gi] = 0
-            else:
-                since_best[gi] += 1
-            if config.early_stop and it > 0:
-                prev = h[-2]
-                rel = abs(loss - prev) / max(abs(prev), 1e-12)
-                streak[gi] = streak[gi] + 1 if rel < config.early_stop_rtol \
-                    else 0
-                if streak[gi] >= config.early_stop_patience:
-                    steps[gi] = it
-                    stopped.append(gi)
-                    continue
-            steps[gi] = it + 1
-            if since_best[gi] >= STALL_PATIENCE:
-                since_best[gi] = 0
-                restart.append(gi)
-            else:
-                live.append(gi)
+        losses = engine.value(total)
         # the same bits as the breakdown's total
-        history.append(sum(losses))
+        loss = sum(losses.tolist())
+        if it == table.shape[0]:
+            table = np.concatenate((table, np.empty_like(table)))
+        table[it] = losses
+        better = running & (losses < best_loss)
+        bad = k
+        if not math.isfinite(loss):
+            # a non-finite term, or a sum that overflowed
+            nonfinite = np.flatnonzero(running & ~np.isfinite(losses))
+            if nonfinite.shape[0]:
+                # groups are taken in order, and the first bad one stops
+                # the fit before the ones after it keep a new best
+                bad = int(nonfinite[0])
+                better[bad:] = False
+        # np.count_nonzero is the cheap test of a mask on few groups
+        if np.count_nonzero(better):
+            np.copyto(best_loss, losses, where=better)
+            np.copyto(best_flat, flat, where=better[packing.group])
+            mark[better] = it
+        if bad < k:
+            raise diverged(f"loss became {losses[bad]}", it)
+        if config.early_stop and it > 0:
+            prev = table[it - 1]
+            rel = np.abs(losses - prev) / np.maximum(np.abs(prev), 1e-12)
+            streak = np.where(rel < config.early_stop_rtol, streak + 1, 0)
+            stopped = running & (streak >= config.early_stop_patience)
+            if np.count_nonzero(stopped):
+                rows[stopped] = it + 1
+                running = running & ~stopped
+        stall = running & (mark <= it - STALL_PATIENCE)
+        restart = np.count_nonzero(stall) > 0
+        if restart:
+            mark[stall] = it
+        live = running & ~stall
+        n_live = np.count_nonzero(live)
+        history.append(loss)
         if callback is not None:
-            callback(it + 1, history[-1])
-        if stopped:
-            running = [gi for gi in running if gi not in stopped]
-            if not running:
-                break
-        if live:
+            callback(it + 1, loss)
+        if config.early_stop and not np.count_nonzero(running):
+            break
+        if n_live:
             g = np.concatenate(engine.grad(total, [leaves[name]
                                                    for name in fields]))
-            mask = np.zeros(k, dtype=bool)
-            mask[live] = True
-            g = np.where(mask[packing.group], g, 0.0)
-            if not np.all(np.isfinite(g)):
+            if n_live < k:
+                g = np.where(live[packing.group], g, 0.0)
+            if not np.isfinite(g).all():
                 raise diverged("gradient became non-finite", it)
-            flat = adam_step(state, flat, g, mask)
-            _project(flat, packing, params, config)
+            flat = adam_step(state, flat, g, live if n_live < k else None)
+            _project(flat, lo, hi)
         if restart:
-            for gi in restart:
-                flat[coords[gi]] = best_flat[coords[gi]]
-            mask = np.zeros(k, dtype=bool)
-            mask[restart] = True
-            state.restart(mask, STALL_DECAY)
+            np.copyto(flat, best_flat, where=stall[packing.group])
+            state.restart(stall, STALL_DECAY)
         packing.unpack(flat, params)
+
+    # a group that stopped early took no step in its last iteration
+    rows[running] = len(history)
+    steps = np.where(running, rows, rows - 1)
+    hist = [table[:n, gi].tolist() for gi, n in enumerate(rows.tolist())]
 
     # evaluate the endpoint too; it competes for best. A group whose C
     # goes non-positive there weighs no endpoint: it returns to its best
     # point, and the others are evaluated again without it
     total = leaves = None  # the last graph is not needed past here
-    ends = range(k)
-    best_at_end = 0
+    ends = np.ones(k, dtype=bool)
     try:
         _, breakdown, _, aux = _evaluate(ws, params, config)
         history.append(breakdown.total)
     except NonPositiveC as e:
-        ends = [gi for gi in ends if gi not in e.groups]
-        if ends:
-            for gi in e.groups:
-                flat[coords[gi]] = best_flat[coords[gi]]
+        ends[e.groups] = False
+        if ends.any():
+            np.copyto(flat, best_flat, where=~ends[packing.group])
             packing.unpack(flat, params)
             _, _, _, aux = _evaluate(ws, params, config)
-    if ends:
-        losses = aux["terms"][-1].tolist()
-        for gi in ends:
-            loss = losses[gi]
-            hist[gi].append(loss)
-            if np.isfinite(loss) and loss < best_loss[gi]:
-                best_loss[gi] = loss
-                best_flat[coords[gi]] = flat[coords[gi]]
-                best_at_end += 1
+    better = np.zeros(k, dtype=bool)
+    if ends.any():
+        losses = aux["terms"][-1]
+        for h, loss, end in zip(hist, losses.tolist(), ends.tolist()):
+            if end:
+                h.append(loss)
+        better = ends & np.isfinite(losses) & (losses < best_loss)
+        np.copyto(best_loss, losses, where=better)
+        np.copyto(best_flat, flat, where=better[packing.group])
 
     # when every group's best point is the endpoint, the endpoint's
     # evaluation is the best point's
-    if best_at_end < k:
+    if not better.all():
         packing.unpack(best_flat, params)
         _, breakdown, _, aux = _evaluate(ws, params, config)
 
@@ -423,12 +451,14 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
     res = FitResult(params=params, config=config, curve_metrics=metrics,
                     points=points, loss_history=np.asarray(history),
                     tpu_stage=tpu_stage, tpu_gap=tpu_gap,
-                    iterations_run=max(steps),
+                    iterations_run=int(steps.max()),
                     initial_loss=float(history[0]),
-                    final_loss=float(sum(best_loss)), breakdown=breakdown)
+                    final_loss=float(sum(best_loss.tolist())),
+                    breakdown=breakdown)
     if k > 1:
         res.groups = tuple(
-            _group_result(res, ws, gi, hist[gi], steps[gi], best_loss[gi],
+            _group_result(res, ws, gi, hist[gi], int(steps[gi]),
+                          float(best_loss[gi]),
                           LossBreakdown(*(float(t[gi])
                                           for t in aux["terms"])))
             for gi in range(k))
@@ -439,7 +469,7 @@ def _group_result(res: FitResult, ws: Workspace, gi: int, hist: list,
                   steps: int, best_loss: float,
                   breakdown: LossBreakdown) -> FitResult:
     """The part of a stacked fit's result that belongs to group gi."""
-    pa, pb = ws.pt_spans[gi]
+    pa, pb = ws.pt_spans.bounds[gi]
     params = res.params.select_group(gi)
     ids = params.curve_ids
     return FitResult(

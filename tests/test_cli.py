@@ -57,6 +57,24 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--window-len", "7"), ("--smooth-ci-threshold", "500"),
+    ("--jump-up", "0.1"), ("--jump-down", "-0.1"),
+    ("--min-points-factor", "2"),
+])
+def test_preprocessing_flag_without_preprocess_is_usage_error(
+        tmp_path, capsys, flag, value):
+    data = synth_file(tmp_path)
+    out = tmp_path / "out.csv"
+    argv = ["fit", data, flag, value, "-o", str(out), "--max-iter", "2", "-q"]
+    assert run(argv) == 1
+    assert f"fvcbfit fit: error: {flag} requires --preprocess" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv + ["--preprocess"]) == 0
+    assert out.exists()
+
+
 def test_missing_input_is_data_error(capsys):
     assert run(["fit", "/nowhere/missing.csv", "-q"]) == 2
     assert "missing.csv" in capsys.readouterr().err

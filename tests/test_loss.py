@@ -13,7 +13,8 @@ from fvcbfit.data_io import CurveKind, Dataset, GasExchangeRecord, ResponseCurve
 from fvcbfit.engine import Var, fuse, grad, sigmoid, value
 from fvcbfit.errors import FvcbError, LengthMismatch, NonPositiveC
 from fvcbfit.loss import (
-    Workspace, _evaluate, _objective, find_jc_index, mse, penalty_cjp,
+    Workspace, _evaluate, _group_sum, _objective, _Spans, find_jc_index,
+    mse, penalty_cjp,
     penalty_intersections, penalty_nonneg, penalty_tpu_transition,
     penalty_vj_correlation, total_loss,
 )
@@ -248,6 +249,41 @@ def test_dataset_parameter_id_mismatch_rejected():
     ds, _ = generate_dataset(ParameterState.single(), n_curves=2, seed=0)
     with pytest.raises(FvcbError, match="curve ids"):
         total_loss(ds, ParameterState.defaults(curve_ids=(0, 5)))
+
+
+# --- group sums ----------------------------------------------------------
+
+@pytest.mark.parametrize("lengths", [
+    [5], [0], [1], [7], [8], [9], [9000], [0, 3], [3, 0], [0, 0, 0],
+    [1, 1, 1], [7, 8, 9], [8192, 1, 8193], [0, 20000, 0, 9], [16, 0, 17],
+    [30000, 2],
+])
+def test_group_sum_has_the_bits_of_each_spans_own_sum(lengths):
+    # np.add.reduceat alone starts a span from its first element and
+    # differs in the last bit; the padded form must not, also across the
+    # pairwise summation's 8-element and 8,192-element edges
+    rng = np.random.default_rng(len(lengths) * 1000 + sum(lengths))
+    cuts = np.concatenate(([0], np.cumsum(lengths)))
+    spans = _Spans(cuts)
+    for _ in range(20):
+        n = int(cuts[-1])
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        x[rng.random(n) < 0.05] = -0.0
+        want = np.array([x[a:b].sum() for a, b in spans.bounds])
+        assert _group_sum(x, spans).tobytes() == want.tobytes()
+
+
+def test_group_sum_of_random_spans_matches_per_span_sums():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        k = int(rng.integers(1, 12))
+        lengths = rng.choice([0, 1, 7, 8, 9, 100, 129, 8191, 8193],
+                             size=k) + rng.integers(0, 3, size=k)
+        cuts = np.concatenate(([0], np.cumsum(lengths)))
+        x = rng.standard_normal(int(cuts[-1])) * 1e3
+        spans = _Spans(cuts)
+        want = np.array([x[a:b].sum() for a, b in spans.bounds])
+        assert _group_sum(x, spans).tobytes() == want.tobytes()
 
 
 # --- operands built once per workspace -----------------------------------
@@ -498,7 +534,7 @@ def test_groups_without_active_terms_keep_their_bytes_beside_active_ones():
         part = params.select_group(gi)
         alone, alone_grads = gradient_bytes(Workspace(sub, part), part, cfg)
         assert np.frombuffer(total)[gi:gi + 1].tobytes() == alone
-        ea, eb = ws.entry_spans[gi]
+        ea, eb = ws.entry_spans.bounds[gi]
         for f, g, g_alone in zip(fitted, whole, alone_grads):
             cut = g[ea:eb] if g.shape == ws.entry_group.shape else g[gi:gi + 1]
             assert cut.tobytes() == g_alone, f

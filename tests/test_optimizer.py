@@ -1,21 +1,26 @@
 """Adam loop, initialization shaping, projections, and fit invariants."""
 
+import sys
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 import fvcbfit.optimizer as optimizer
+from fvcbfit import engine
 from fvcbfit.data_io import Dataset
 from fvcbfit.engine import Var
 from fvcbfit.errors import DivergenceError, FvcbError
-from fvcbfit.loss import LossBreakdown, Workspace, total_loss
+from fvcbfit.loss import LossBreakdown, Workspace, _evaluate, total_loss
 from fvcbfit.model import peaked_arrhenius
 from fvcbfit.optimizer import (
     STALL_PATIENCE, AdamState, adam_step, fit, fit_groups, init_parameters,
     split_by_group,
 )
-from fvcbfit.params import MAIN_FOUR, SHARED_FIELDS, FitConfig, ParameterState
+from fvcbfit.params import (
+    MAIN_FOUR, SHARED_FIELDS, FitConfig, ParameterState, fitted_fields,
+)
 from fvcbfit.synth import generate_dataset
 
 
@@ -195,6 +200,57 @@ def test_projection_clamps_within_one_step():
     # one Adam step moves rd to -0.92, the projection floor to 0, and
     # the projected endpoint beats the penalized start
     assert res.params.rd25[0] == 0.0
+
+
+def clip_field_by_field(flat, packing, params, config):
+    # the projection as a clip per field: the semantics the bound
+    # vectors must keep
+    def clip(name, lo=None, hi=None):
+        if name in packing.slices:
+            sl = packing.slices[name]
+            np.clip(flat[sl], lo, hi, out=flat[sl])
+
+    if config.positive_rd:
+        clip("rd25", lo=0.0)
+    if config.temp_type == 2:
+        cn = params.constants
+        clip("dha_vcmax", lo=1e-6, hi=cn.dhd_vcmax - 1.0)
+        clip("dha_jmax", lo=1e-6, hi=cn.dhd_jmax - 1.0)
+        clip("dha_tpu", lo=1e-6, hi=cn.dhd_tpu - 1.0)
+        for name in ("topt_vcmax", "topt_jmax", "topt_tpu"):
+            clip(name, lo=200.0, hi=400.0)
+    clip("alpha", lo=1e-6)
+    clip("theta", lo=1e-6, hi=1.0)
+    clip("gm", lo=1e-3)
+    for name in ("kc25", "ko25", "gamma25"):
+        clip(name, lo=1e-6)
+
+
+@pytest.mark.parametrize("temp_type,light_type", list(product((0, 1, 2),
+                                                              repeat=2)))
+def test_projection_bounds_clip_like_each_fields_clip(temp_type, light_type):
+    ds = two_group_dataset(n0=3, n1=2)
+    rng = np.random.default_rng(10 * temp_type + light_type)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-6, 1e-3,
+                         1.0, 200.0, 400.0, -1.0])
+    for fit_gm, fit_kinetics, positive_rd in product((False, True),
+                                                     repeat=3):
+        cfg = FitConfig(temp_type=temp_type, light_type=light_type,
+                        fit_gm=fit_gm, fit_kinetics=fit_kinetics,
+                        positive_rd=positive_rd)
+        params = init_parameters(ds, cfg)
+        packing = optimizer._Packing(params, fitted_fields(cfg, False),
+                                     Workspace(ds, params).entry_group)
+        lo, hi = optimizer._bounds(packing, params, cfg)
+        for _ in range(30):
+            x = rng.standard_normal(packing.size) * 10.0 ** rng.uniform(
+                -7, 6, packing.size)
+            pick = rng.random(packing.size) < 0.3
+            x[pick] = rng.choice(specials, size=int(pick.sum()))
+            want = x.copy()
+            clip_field_by_field(want, packing, params, cfg)
+            optimizer._project(x, lo, hi)
+            assert x.tobytes() == want.tobytes()
 
 
 def test_divergence_reported():
@@ -482,6 +538,25 @@ def test_stacked_light_temperature_groups():
     stacked_and_alone(ds, cfg)
 
 
+def test_stacked_nine_curve_group_beside_one_curve_group():
+    # light and temperature type 2: Rd25, the three dHa, alpha and theta
+    # are all penalized, Rd25 with nine entries in the large group, so
+    # the sums run numpy's pairwise branch; Rd25 and theta start
+    # negative, where the penalty is active
+    cfg = FitConfig(light_type=2, temp_type=2, max_iter=120)
+    big = light_temp_group(cfg, (18.0, 21.0, 24.0, 27.0, 30.0, 33.0, 36.0,
+                                 25.0), 900)
+    ds = merge_groups((big, 0), (aci(1, seed=950, config=cfg), 1))
+    assert [len(ids) for ids in ds.groups.values()] == [9, 1]
+    p0 = init_parameters(ds, cfg, rd25=-0.4, theta=-0.2)
+    res = fit(ds, cfg, params0=p0)
+    for gi, (_, sub) in enumerate(split_by_group(ds)):
+        assert_same_fit(res.groups[gi],
+                        fit(sub, cfg, params0=p0.select_group(gi)))
+    start = _evaluate(Workspace(ds, p0), p0, cfg)[3]["terms"][6]
+    assert np.all(start > 0.0)  # the non-negativity term of each group
+
+
 def test_stacked_light_only_group_beside_co2_group():
     # alone, the light-only group fits neither TPU25, alpha_g nor the TPU
     # temperature response; beside a CO2 group they get no gradient
@@ -569,3 +644,46 @@ def test_adding_a_group_leaves_the_others_unchanged():
     assert_same_fit(two.groups[1], three.groups[1])
     assert three.final_loss == sum(r.final_loss for r in three.groups)
     assert three.breakdown.total == three.final_loss
+
+
+def test_iteration_makes_the_same_calls_for_any_group_count():
+    # the same twelve curves in 2 and in 12 groups, at the same
+    # parameters: one taped evaluation, its gradient, the Adam step and
+    # the projection make the same number of Python and C calls
+    cfg = FitConfig(light_type=2, temp_type=2)
+    curves = aci(12, seed=1000, config=cfg).curves
+    temps = np.linspace(18.0, 36.0, 12)
+    curves = [replace(c, tleaf_c=np.full(c.n_points, t))
+              for c, t in zip(curves, temps)]
+
+    def calls(n_groups):
+        ds = merge_groups(*((Dataset(curves=(c,), groups={0: [c.curve_id]}),
+                             i * n_groups // 12) for i, c in enumerate(curves)))
+        params = init_parameters(ds, cfg)
+        ws = Workspace(ds, params)
+        fields = fitted_fields(cfg, ws.light_only)
+        packing = optimizer._Packing(params, fields, ws.entry_group)
+        lo, hi = optimizer._bounds(packing, params, cfg)
+        state = AdamState.zeros(packing.size, group=packing.group)
+        flat = packing.pack(params)
+        events = []
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                events.append(event)
+
+        _evaluate(ws, params, cfg, fields, report=False)  # build operands
+        sys.setprofile(profile)
+        try:
+            total, _, leaves, _ = _evaluate(ws, params, cfg, fields,
+                                            report=False)
+            g = np.concatenate(engine.grad(total, [leaves[name]
+                                                   for name in fields]))
+            flat = adam_step(state, flat, g)
+            optimizer._project(flat, lo, hi)
+        finally:
+            sys.setprofile(None)
+        assert ws.n_groups == n_groups
+        return len(events)
+
+    assert calls(2) == calls(12)
