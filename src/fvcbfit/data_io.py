@@ -137,7 +137,11 @@ def classify_curve(curve: ResponseCurve) -> CurveKind:
     else is treated as a CO2 response. An explicit override at load
     time wins over this rule.
     """
-    qin, ci = curve.qin, curve.ci
+    return _classify(curve.ci, curve.qin)
+
+
+def _classify(ci, qin) -> CurveKind:
+    """classify_curve on a curve's Ci and Qin columns."""
     qin_range = float(qin.max() - qin.min())
     ci_range = float(ci.max() - ci.min())
     if qin_range > 100.0 and ci_range < 0.15 * float(ci.mean()):
@@ -332,7 +336,7 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
                 lines = list(islice(fh, CHUNK_ROWS))
                 if not lines:
                     break
-                if any('"' in text for text in lines):
+                if '"' in "".join(lines):
                     reader = csv.reader(chain(lines, fh))
                     continue
                 rows = lines  # one csv row per line without quotes
@@ -396,10 +400,9 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     ends = np.cumsum(n_kept).tolist()
     curves = []
     for cid, lo, hi in zip(ids, [0] + ends, ends):
-        curve = ResponseCurve(cid, group_of[cid], *(c[lo:hi] for c in columns),
-                              kind=CurveKind.CO2Response)
-        kind = overrides.get(cid) or classify_curve(curve)
-        curves.append(replace(curve, kind=kind))
+        cols = [c[lo:hi] for c in columns]
+        kind = overrides.get(cid) or _classify(cols[0], cols[2])
+        curves.append(ResponseCurve(cid, group_of[cid], *cols, kind=kind))
 
     groups: dict[int, list[int]] = {}
     for c in curves:
@@ -565,4 +568,11 @@ def _write_points(path: str, results) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(POINT_COLUMNS) + "\r\n")
         for res in results:
-            _write_columns(fh, [res.points[name] for name in POINT_COLUMNS])
+            cols = [res.points[name] for name in POINT_COLUMNS]
+            # each run of one curve id is rendered once, for all its rows
+            cid = cols[0]
+            starts = np.flatnonzero(np.diff(cid, prepend=cid[:1] - 1))
+            text = np.array([str(v) for v in cid[starts].tolist()],
+                            dtype=object)
+            cols[0] = np.repeat(text, np.diff(starts, append=cid.shape[0]))
+            _write_columns(fh, cols)

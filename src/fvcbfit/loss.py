@@ -45,7 +45,7 @@ each point it touches it keeps the order of the sums of a separate
 penalty node: rd and fac take the MSE's part, then A_c's, A_p's and
 A_j's, and A_j's part sums the margin, ordering and TPU terms in that
 order. A dense VJP would add only zeros at the other points, and every
-path from rates, rd and fac to a leaf ends in a gather whose scatter-add
+path from rates, rd and fac to a leaf ends in a spread whose scatter-add
 starts from +0.0, so the gradients are those of the dense VJP bit for
 bit.
 
@@ -76,8 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import CurveKind, Dataset
-from .engine import Var, fuse, gather, sigmoid, value
+from .data_io import COLUMNS, CurveKind, Dataset
+from .engine import Var, fuse, sigmoid, value
 from .errors import DegenerateSeries, FvcbError, LengthMismatch, NonPositiveC
 from .metrics import pearson_r
 from .model import _arrhenius, _arrhenius_factor, _kinetic_terms, \
@@ -198,9 +198,11 @@ class Workspace:
     gradients are invariant to permutations of the input. Each fitting
     group's curves, points and main-four entries are therefore
     contiguous, and the *_spans attributes (`_Spans`) hold each group's
-    (start, end) over them. fixed holds the operands `_fixed_operands`
-    built last, and fixed_key what they were built from; nonneg and
-    nonneg_key likewise for `_nonneg_layout`.
+    (start, end) over them. orig_index holds each point's position in the
+    curves' own columns, concatenated in canonical curve order. fixed
+    holds the operands `_fixed_operands` built last, and fixed_key what
+    they were built from; nonneg and nonneg_key likewise for
+    `_nonneg_layout`.
     """
 
     __slots__ = ("ci", "a", "qin", "tk", "pt_entry", "pt_group",
@@ -217,33 +219,20 @@ class Workspace:
         by_id = {c.curve_id: c for c in dataset.curves}
         if set(by_id) != set(params.curve_ids):
             raise FvcbError("parameter state and dataset disagree on curve ids")
-        ci, a, qin, tl, orig = [], [], [], [], []
-        starts, lengths, is_light = [], [], []
-        pt_entry, pt_group = [], []
-        pos = 0
-        for i, cid in enumerate(params.curve_ids):
-            curve = by_id[cid]
-            n = curve.n_points
-            order = np.lexsort((np.arange(n), curve.ci))
-            ci.append(curve.ci[order])
-            a.append(curve.a[order])
-            qin.append(curve.qin[order])
-            tl.append(curve.tleaf_c[order])
-            orig.append(order)
-            starts.append(pos)
-            lengths.append(n)
-            is_light.append(curve.kind is CurveKind.LightResponse)
-            pt_entry.append(np.full(n, params.entry_of[i], dtype=np.intp))
-            pt_group.append(np.full(n, params.group_of[i], dtype=np.intp))
-            pos += n
-        self.ci = np.concatenate(ci)
-        self.a = np.concatenate(a)
-        self.qin = np.concatenate(qin)
-        self.tk = np.concatenate(tl) + 273.15
-        self.pt_entry = np.concatenate(pt_entry)
-        self.pt_group = np.concatenate(pt_group)
-        self.seg_starts = np.asarray(starts, dtype=np.intp)
+        curves = [by_id[cid] for cid in params.curve_ids]
+        lengths = [c.n_points for c in curves]
         self.seg_lengths = np.asarray(lengths, dtype=np.intp)
+        self.seg_starts = np.cumsum(self.seg_lengths) - self.seg_lengths
+        self.orig_index = np.concatenate([
+            np.lexsort((np.arange(n), c.ci)) for c, n in zip(curves, lengths)
+        ]) + np.repeat(self.seg_starts, self.seg_lengths)
+        self.ci, self.a, self.qin, tl = (
+            np.concatenate([getattr(c, name) for c in curves])[self.orig_index]
+            for name in COLUMNS)
+        self.tk = tl + 273.15
+        self.pt_entry = np.repeat(params.entry_of, self.seg_lengths)
+        self.pt_group = np.repeat(params.group_of, self.seg_lengths)
+        is_light = [c.kind is CurveKind.LightResponse for c in curves]
         self.last_flat = self.seg_starts + self.seg_lengths - 1
         self.is_light = np.asarray(is_light, dtype=bool)
         self.light_pt = np.repeat(self.is_light, self.seg_lengths)
@@ -255,7 +244,6 @@ class Workspace:
         self.n_points = int(self.ci.shape[0])
         self.n_curves = len(params.curve_ids)
         self.co2_curves = np.flatnonzero(~self.is_light)
-        self.orig_index = orig
         self.entry_group = np.empty(params.n_entries, dtype=np.intp)
         self.entry_group[params.entry_of] = params.group_of
         self.co2_group = params.group_of[self.co2_curves]
@@ -408,12 +396,23 @@ def _gamma_factor(gamma, c):
     return fuse(1.0 - q, (gamma, c), lambda g: (-g / cv, g * q / cv))
 
 
-def _gather_sigmoid(raw, idx):
-    """sigmoid(raw)[idx]: the logistic taken per group, its VJP per point."""
+def _spread(x, ws: Workspace, per_entry: bool = False):
+    """x[ws.pt_entry] (per_entry) or x[ws.pt_group], as each curve's value
+    repeated over its points; the VJP scatter-adds per point."""
+    xv = value(x)
+    idx, pts = (ws.curve_entry, ws.pt_entry) if per_entry \
+        else (ws.curve_group, ws.pt_group)
+    return fuse(np.repeat(xv[idx], ws.seg_lengths), (x,), lambda g: (
+        np.bincount(pts, weights=g, minlength=xv.shape[0]),))
+
+
+def _spread_sigmoid(raw, ws: Workspace):
+    """sigmoid(raw) spread over the points: the logistic taken per group,
+    its VJP per point."""
     rv = value(raw)
-    out = sigmoid(rv)[idx]
-    return fuse(out, (raw,), lambda g: (
-        np.bincount(idx, weights=g * out * (1.0 - out), minlength=rv.shape[0]),))
+    out = np.repeat(sigmoid(rv)[ws.curve_group], ws.seg_lengths)
+    return fuse(out, (raw,), lambda g: (np.bincount(
+        ws.pt_group, weights=g * out * (1.0 - out), minlength=rv.shape[0]),))
 
 
 def _relu(x):
@@ -588,7 +587,7 @@ def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fv, rv, valid,
 
 
 def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
-               vcmax25=None, jmax25=None, nonneg=()):
+               vcmax25=None, jmax25=None, nonneg=(), state=False):
     """The MSE of A = min(Wc, Wj, Wp) * fac - rd plus the penalties.
 
     One node, the one consumer of rates, fac and rd; returns (total,
@@ -597,7 +596,9 @@ def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
     its own point count. The penalties are those of `_penalties`, all
     zero when config.penalties is off; vcmax25 and jmax25 are given for
     the correlation term only. On light-response curves Wp takes part in
-    the minimum but receives no gradient.
+    the minimum but receives no gradient. With state, a fourth value
+    follows: the limiting rate at each point, "c", "j" or "p", ties going
+    to "c", then "j".
     """
     wc, wj, wp = value(rates)
     fv, rv = value(fac), value(rd)
@@ -641,8 +642,9 @@ def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
             return g_rates, g_fac, g_pred
         return [g_rates, g_fac, g_pred] + add(g, g_rates, g_fac, g_pred)
 
+    st = (np.where(take_cj, np.where(take_c, "c", "j"), "p"),) if state else ()
     return (fuse(total, [rates, fac, rd, vcmax25, jmax25] + list(nonneg),
-                 vjp), (mse, *p), pred)
+                 vjp), (mse, *p), pred, *st)
 
 
 def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
@@ -655,10 +657,13 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
 
     Returns (total, LossBreakdown, leaves, aux) where aux carries
     per-curve diagnostics (the A_p - A_j gap at the last point, and its
-    validity) computed from forward values, the prediction, and the
+    validity) computed from forward values, the prediction and the
+    limiting state at each point, in canonical order, and the
     breakdown's terms before they are summed over groups. total has one
-    entry per group. With report off the breakdown and aux, which only
-    reporting reads, are not built and come back as None.
+    entry per group. A fit's report (its points, states, curve metrics
+    and TPU flags) is built from the aux of its final evaluation. With
+    report off the breakdown and aux, which only reporting reads, are
+    not built and come back as None.
     """
     cn = params.constants
     r_gas = cn.r_gas
@@ -668,19 +673,17 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
         return leaves[name] if name in leaves else getattr(params, name)
 
     fx = _fixed_operands(ws, params, config, leaves)
-    ve = gather(P("vcmax25"), ws.pt_entry)
-    je = gather(P("jmax25"), ws.pt_entry)
-    te = gather(P("tpu25"), ws.pt_entry)
-    rd = gather(P("rd25"), ws.pt_entry)
+    ve, je, te, rd = (_spread(P(name), ws, per_entry=True)
+                      for name in ("vcmax25", "jmax25", "tpu25", "rd25"))
     if fx["kin"] is None:
-        kc, ko, gamma = (gather(P(name), ws.pt_group) for name in KINETICS)
+        kc, ko, gamma = (_spread(P(name), ws) for name in KINETICS)
     else:
         kc, ko, gamma = fx["kin"]
-    ag = _gather_sigmoid(P("alpha_g_raw"), ws.pt_group)
+    ag = _spread_sigmoid(P("alpha_g_raw"), ws)
 
     c = ws.ci
     if config.fit_gm:
-        c = _site_co2(ws.ci, ws.a, gather(P("gm"), ws.pt_group))
+        c = _site_co2(ws.ci, ws.a, _spread(P("gm"), ws))
         bad = value(c) <= 0.0
         if bad.any():
             raise NonPositiveC("C_i - A/g_m went non-positive",
@@ -695,30 +698,23 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
                              for k, e in zip((kc, ko, gamma), fx["e_kin"]))
     tf = fx["tf"]
     if config.temp_type == 1:
-        ve = _arrhenius(ve, gather(P("dha_vcmax"), ws.pt_group), tf, r_gas)
-        je = _arrhenius(je, gather(P("dha_jmax"), ws.pt_group), tf, r_gas)
-        te = _arrhenius(te, gather(P("dha_tpu"), ws.pt_group), tf, r_gas)
+        ve = _arrhenius(ve, _spread(P("dha_vcmax"), ws), tf, r_gas)
+        je = _arrhenius(je, _spread(P("dha_jmax"), ws), tf, r_gas)
+        te = _arrhenius(te, _spread(P("dha_tpu"), ws), tf, r_gas)
     elif config.temp_type == 2:
         inv_t = fx["inv_t"]
-        ve = _peaked_arrhenius(ve, gather(P("dha_vcmax"), ws.pt_group),
-                               cn.dhd_vcmax,
-                               gather(P("topt_vcmax"), ws.pt_group),
-                               inv_t, tf, r_gas)
-        je = _peaked_arrhenius(je, gather(P("dha_jmax"), ws.pt_group),
-                               cn.dhd_jmax,
-                               gather(P("topt_jmax"), ws.pt_group),
-                               inv_t, tf, r_gas)
-        te = _peaked_arrhenius(te, gather(P("dha_tpu"), ws.pt_group),
-                               cn.dhd_tpu,
-                               gather(P("topt_tpu"), ws.pt_group),
-                               inv_t, tf, r_gas)
+        ve = _peaked_arrhenius(ve, _spread(P("dha_vcmax"), ws), cn.dhd_vcmax,
+                               _spread(P("topt_vcmax"), ws), inv_t, tf, r_gas)
+        je = _peaked_arrhenius(je, _spread(P("dha_jmax"), ws), cn.dhd_jmax,
+                               _spread(P("topt_jmax"), ws), inv_t, tf, r_gas)
+        te = _peaked_arrhenius(te, _spread(P("dha_tpu"), ws), cn.dhd_tpu,
+                               _spread(P("topt_tpu"), ws), inv_t, tf, r_gas)
 
     if config.light_type == 0:
         j = je
     else:
-        j = electron_transport(ws.qin, je, gather(P("alpha"), ws.pt_group),
-                               gather(P("theta"), ws.pt_group),
-                               config.light_type)
+        j = electron_transport(ws.qin, je, _spread(P("alpha"), ws),
+                               _spread(P("theta"), ws), config.light_type)
 
     rates, valid = limitation_rates(c, ve, j, te, gamma, kc, ko, cn.o2, ag,
                                     big=_BIG, terms=fx["terms"])
@@ -735,9 +731,9 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
             if name in eligible:
                 nonneg.append(P(name))
         corr = config.r_penalty and ws.corr_groups
-    total, terms, pred = _objective(ws, config, rates, valid, fac, rd,
-                                    P("vcmax25") if corr else None,
-                                    P("jmax25") if corr else None, nonneg)
+    total, terms, pred, *state = _objective(
+        ws, config, rates, valid, fac, rd, P("vcmax25") if corr else None,
+        P("jmax25") if corr else None, nonneg, state=report)
     if not report:
         return total, None, leaves, None
 
@@ -747,6 +743,7 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
         "tpu_gap": np.where(valid[lf], w_last[2] - w_last[1], np.nan),
         "tpu_valid": valid[lf] & ~ws.is_light,
         "pred": pred,
+        "state": state[0],
         "terms": (*terms, value(total)),
     }
     return total, _breakdown(aux["terms"]), leaves, aux

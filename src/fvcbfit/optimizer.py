@@ -24,10 +24,12 @@ import numpy as np
 
 from . import engine
 from .data_io import Dataset
-from .errors import DivergenceError, FvcbError, NonPositiveC, ZeroVariance
-from .loss import LossBreakdown, Workspace, _evaluate
-from .metrics import CurveMetrics, r_squared, rmse
-from .model import predict_curve
+from .errors import DivergenceError, FvcbError, NonPositiveC
+from .loss import LossBreakdown, Workspace, _evaluate, _group_sum, _Spans
+from .metrics import CurveMetrics
+# predict_curve is not called here, but stays a name of this module: the
+# benchmark's tracer (bench/spans.py) wraps fvcbfit.optimizer.predict_curve
+from .model import predict_curve  # noqa: F401
 from .params import MAIN_FOUR, FitConfig, ParameterState, fitted_fields
 
 __all__ = ["AdamState", "PointPrediction", "FitResult", "init_parameters",
@@ -128,7 +130,9 @@ class FitResult:
     maps each PointPrediction field to an array over all points, curves
     in canonical order and points within a curve in their original
     record order; predictions is the same table as PointPredictions,
-    built on first use. loss_history[0] is the loss at the initial
+    built on first use. The points, their limiting states, the curve
+    metrics and the TPU flags all come from the final evaluation of the
+    returned parameters. loss_history[0] is the loss at the initial
     parameters; final_loss belongs to the returned (best seen)
     parameters.
 
@@ -417,37 +421,13 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
         packing.unpack(best_flat, params)
         _, breakdown, _, aux = _evaluate(ws, params, config)
 
-    by_id = {c.curve_id: c for c in dataset.curves}
-    curves = [by_id[cid] for cid in params.curve_ids]
-    metrics = {}
-    a_pred, state = [], []
-    tpu_stage = {}
-    tpu_gap = {}
-    for i, (cid, curve) in enumerate(zip(params.curve_ids, curves)):
-        a_hat, states = predict_curve(curve, params, config,
-                                      entry=int(params.entry_of[i]),
-                                      group=int(params.group_of[i]))
-        try:
-            r2 = r_squared(curve.a, a_hat)
-        except ZeroVariance:
-            r2 = float("nan")
-        metrics[cid] = CurveMetrics(rmse=rmse(curve.a, a_hat), r2=r2,
-                                    n_points=curve.n_points)
-        a_pred.append(a_hat)
-        state.append(states)
-        gap = float(aux["tpu_gap"][i])
-        ok = bool(aux["tpu_valid"][i])
-        tpu_gap[cid] = gap if ok else float("nan")
-        tpu_stage[cid] = ok and gap < -TPU_STAGE_MARGIN
-
-    points = {
-        "curve_id": np.repeat(np.asarray(params.curve_ids, dtype=np.int64),
-                              [c.n_points for c in curves]),
-        "ci": np.concatenate([c.ci for c in curves]),
-        "a_measured": np.concatenate([c.a for c in curves]),
-        "a_predicted": np.concatenate(a_pred),
-        "state": np.concatenate(state),
-    }
+    ids = params.curve_ids
+    points, metrics = _report(ws, aux)
+    metrics = dict(zip(ids, metrics))
+    ok = aux["tpu_valid"]
+    gap = np.where(ok, aux["tpu_gap"], np.nan)
+    tpu_gap = dict(zip(ids, gap.tolist()))
+    tpu_stage = dict(zip(ids, (ok & (gap < -TPU_STAGE_MARGIN)).tolist()))
     res = FitResult(params=params, config=config, curve_metrics=metrics,
                     points=points, loss_history=np.asarray(history),
                     tpu_stage=tpu_stage, tpu_gap=tpu_gap,
@@ -463,6 +443,29 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
                                           for t in aux["terms"])))
             for gi in range(k))
     return res
+
+
+def _report(ws: Workspace, aux: dict) -> tuple:
+    """The points table and each curve's CurveMetrics, from the aux of the
+    final evaluation. Each curve's points and sums run in record order,
+    its sums by `_group_sum`: the bits of metrics.rmse and r_squared on
+    the curve, with R^2 nan where A is constant."""
+    n = ws.seg_lengths
+    at = np.empty(ws.n_points, dtype=np.intp)  # canonical index per record
+    at[ws.orig_index] = np.arange(ws.n_points)
+    a, pred = ws.a[at], aux["pred"][at]
+    spans = _Spans(np.append(ws.seg_starts, ws.n_points))
+    ss_res = _group_sum((a - pred) ** 2, spans)
+    ss_tot = _group_sum((a - np.repeat(_group_sum(a, spans) / n, n)) ** 2,
+                        spans)
+    points = {
+        "curve_id": np.repeat(np.asarray(ws.curve_ids, dtype=np.int64), n),
+        "ci": ws.ci[at], "a_measured": a, "a_predicted": pred,
+        "state": aux["state"][at],
+    }
+    r2 = 1.0 - ss_res / np.where(ss_tot == 0.0, np.nan, ss_tot)
+    return points, [CurveMetrics(*m) for m in zip(
+        np.sqrt(ss_res / n).tolist(), r2.tolist(), n.tolist())]
 
 
 def _group_result(res: FitResult, ws: Workspace, gi: int, hist: list,

@@ -130,16 +130,24 @@ def test_criterion_02_noiseless_recovery():
 # --- 3. noisy recovery -------------------------------------------------
 
 def run_replicates(noise_sd, n_reps=10, n_curves=10, seed0=100):
-    """Joint fit per replicate; per-curve errors pooled across them."""
+    """Joint fit per replicate; per-curve errors pooled across them.
+
+    The replicates are fitted as one stacked problem, one fitting group
+    each with curve ids n_curves * rep + i; each group's result equals
+    a separate fit of that replicate bit for bit."""
     errors = {name: [] for name in ("vcmax25", "jmax25", "rd25")}
-    results = []
+    curves, groups, rep_truths = [], {}, []
     for rep in range(n_reps):
         truth = ParameterState.single()
         ds, truths = generate_dataset(truth, n_curves=n_curves,
                                       noise_sd=noise_sd, jitter=True,
                                       seed=seed0 + 1000 * rep)
-        res = fit(ds)
-        results.append(res)
+        groups[rep] = [n_curves * rep + i for i in range(n_curves)]
+        curves += [replace(c, curve_id=cid, fitting_group=rep)
+                   for c, cid in zip(ds.curves, groups[rep])]
+        rep_truths.append(truths)
+    results = fit_groups(Dataset(curves=tuple(curves), groups=groups))
+    for res, truths in zip(results, rep_truths):
         for i in range(n_curves):
             for name in errors:
                 got = float(getattr(res.params, name)[i])

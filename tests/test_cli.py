@@ -1,9 +1,12 @@
 """Command line behavior: exit codes, output files, determinism,
 summaries, and flag plumbing."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,3 +364,25 @@ def test_repeated_header_is_data_error_naming_its_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "row 152: non-numeric CurveID value 'CurveID'" in err
     assert "Traceback" not in err
+
+
+# --- names the benchmark traces -----------------------------------------
+
+def test_every_callable_the_benchmark_traces_resolves():
+    # bench/spans.py wraps each w("module", "attr", ...) of Tracer.install
+    # by name, and a name that does not resolve drops its layer's
+    # metrics from every traced line; so each must stay a name of its
+    # module even where the package no longer calls it there
+    spans = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    tracer = next(n for n in tree.body
+                  if isinstance(n, ast.ClassDef) and n.name == "Tracer")
+    install = next(n for n in tracer.body
+                   if isinstance(n, ast.FunctionDef) and n.name == "install")
+    wrapped = [tuple(a.value for a in call.args[:2])
+               for call in ast.walk(install) if isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Name) and call.func.id == "w"]
+    assert len(wrapped) >= 16
+    missing = [f"{module}.{attr}" for module, attr in wrapped
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

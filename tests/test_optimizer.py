@@ -11,9 +11,10 @@ import fvcbfit.optimizer as optimizer
 from fvcbfit import engine
 from fvcbfit.data_io import Dataset
 from fvcbfit.engine import Var
-from fvcbfit.errors import DivergenceError, FvcbError
+from fvcbfit.errors import DivergenceError, FvcbError, ZeroVariance
 from fvcbfit.loss import LossBreakdown, Workspace, _evaluate, total_loss
-from fvcbfit.model import peaked_arrhenius
+from fvcbfit.metrics import CurveMetrics, r_squared, rmse
+from fvcbfit.model import peaked_arrhenius, predict_curve
 from fvcbfit.optimizer import (
     STALL_PATIENCE, AdamState, adam_step, fit, fit_groups, init_parameters,
     split_by_group,
@@ -350,7 +351,8 @@ def test_fit_calls_its_layers_under_their_module_names(monkeypatch):
     # fit() looks each layer up on its module at call time, so a stand-in
     # set there (as a tracer sets one) sees every call: one taped
     # evaluation per iteration, whose first return value is the root
-    # engine.grad differentiates, then the endpoint's plain evaluation
+    # engine.grad differentiates, then the endpoint's plain evaluation,
+    # which the report is built from without calling predict_curve
     real_eval, real_grad = optimizer._evaluate, optimizer.engine.grad
     evals, roots = [], []
     counts = dict.fromkeys(("adam_step", "_project", "Workspace",
@@ -385,7 +387,7 @@ def test_fit_calls_its_layers_under_their_module_names(monkeypatch):
     assert len(roots) == 25
     assert all(r is t for r, t in zip(roots, taped))
     assert counts == {"adam_step": 25, "_project": 25, "Workspace": 1,
-                      "predict_curve": 2}
+                      "predict_curve": 0}
     assert res.final_loss == res.loss_history[-1]
 
 
@@ -687,3 +689,96 @@ def test_iteration_makes_the_same_calls_for_any_group_count():
         return len(events)
 
     assert calls(2) == calls(12)
+
+
+# --- the report -----------------------------------------------------------
+
+def report_case(name):
+    """(dataset, config, params0) of a report check: each HOISTED_CONFIGS
+    config on the two-group temperature data, a light-only group beside
+    a CO2 group, a fit_gm fit whose endpoint goes non-positive, and a
+    curve of constant A, whose R^2 is nan."""
+    from test_loss import HOISTED_CONFIGS, two_group_temperature_dataset
+    if name in HOISTED_CONFIGS:
+        cfg = replace(HOISTED_CONFIGS[name], max_iter=40)
+        ds = two_group_temperature_dataset(light=cfg.light_type >= 1)
+        return ds, cfg, init_parameters(ds, cfg, gm=30.0)
+    if name == "light_beside_co2":
+        cfg = FitConfig(light_type=2, temp_type=1, max_iter=40)
+        light = generate_dataset(TRUTH, n_curves=2, config=cfg, noise_sd=0.3,
+                                 q_grid=np.linspace(20.0, 2000.0, 25),
+                                 seed=320)[0]
+        ds = merge_groups((aci(2, seed=330, config=cfg), 0), (light, 1))
+        return ds, cfg, None
+    if name == "gm_endpoint":
+        ds = merge_groups((aci(1, seed=800), 0), (aci(1, seed=810), 1))
+        cfg = FitConfig(fit_gm=True, max_iter=1, lr=3.0)
+        p0 = init_parameters(ds, cfg)
+        p0.gm[:] = [3.0, 2.0]
+        return ds, cfg, p0
+    curve = aci(1, seed=3).curves[0]
+    flat = replace(curve, a=np.full(curve.n_points, 5.0))
+    ds = merge_groups((aci(1, seed=4), 0), (Dataset((flat,), {0: [0]}), 1))
+    return ds, FitConfig(max_iter=40), None
+
+
+REPORT_CASES = ["default", "fit_gm", "fit_kinetics", "temp_type_1",
+                "temp_type_2", "light_type_1", "light_type_2", "onefit",
+                "light_beside_co2", "gm_endpoint", "constant_a"]
+
+
+@pytest.mark.parametrize("name", REPORT_CASES)
+def test_report_has_the_bits_of_per_curve_predictions(name):
+    # fit() builds its points, states, curve metrics and TPU flags from
+    # its final evaluation; each curve's predict_curve, rmse and
+    # r_squared, and the per-curve reading of that evaluation's aux, give
+    # the same bits
+    ds, cfg, p0 = report_case(name)
+    # points out of Ci order, which the fit sorts and the report restores
+    rng = np.random.default_rng(7)
+    ds = replace(ds, curves=tuple(c.take(rng.permutation(c.n_points))
+                                  for c in ds.curves))
+    res = fit(ds, cfg, params0=p0)
+    p = res.params
+    aux = _evaluate(Workspace(ds, p), p, cfg)[3]
+    pred, state, metrics, gaps, stages = [], [], {}, {}, {}
+    for i, cid in enumerate(p.curve_ids):
+        curve = ds.curve(cid)
+        a_hat, states = predict_curve(curve, p, cfg, entry=int(p.entry_of[i]),
+                                      group=int(p.group_of[i]))
+        try:
+            r2 = r_squared(curve.a, a_hat)
+        except ZeroVariance:
+            r2 = float("nan")
+        metrics[cid] = CurveMetrics(rmse(curve.a, a_hat), r2, curve.n_points)
+        pred.append(a_hat)
+        state.append(states)
+        ok = bool(aux["tpu_valid"][i])
+        gaps[cid] = float(aux["tpu_gap"][i]) if ok else float("nan")
+        stages[cid] = ok and gaps[cid] < -optimizer.TPU_STAGE_MARGIN
+    curves = [ds.curve(cid) for cid in p.curve_ids]
+    want = {"curve_id": np.repeat(np.array(p.curve_ids, dtype=np.int64),
+                                  [c.n_points for c in curves]),
+            "ci": np.concatenate([c.ci for c in curves]),
+            "a_measured": np.concatenate([c.a for c in curves]),
+            "a_predicted": np.concatenate(pred),
+            "state": np.concatenate(state)}
+    assert res.points.keys() == want.keys()
+    for key, col in want.items():
+        assert res.points[key].dtype == col.dtype, key
+        assert res.points[key].tobytes() == col.tobytes(), key
+
+    def bits(table):
+        return {cid: np.array([getattr(m, f) for f in ("rmse", "r2")]
+                              if isinstance(m, CurveMetrics) else m).tobytes()
+                for cid, m in table.items()}
+
+    assert bits(res.curve_metrics) == bits(metrics)
+    assert [m.n_points for m in res.curve_metrics.values()] == \
+        [c.n_points for c in curves]
+    assert bits(res.tpu_gap) == bits(gaps)
+    assert res.tpu_stage == stages
+    if name == "gm_endpoint":
+        assert [len(r.loss_history) for r in res.groups] == [1, 2]
+    if name == "constant_a":
+        assert np.isnan(res.curve_metrics[1].r2)
