@@ -17,12 +17,13 @@ from .errors import (DegenerateSeries, DivergenceError, DomainError,
                      MissingColumn, NonFinite, NonPositiveC, ParseError,
                      SeriesTooShort, TooFewPointsAfterCleanup, ZeroVariance)
 from .gradient import GradientVector, loss_gradient
-from .loss import (LossBreakdown, find_jc_index, mse, penalty_cjp,
-                   penalty_intersections, penalty_nonneg,
-                   penalty_tpu_transition, penalty_vj_correlation, total_loss)
+from .loss import (LossBreakdown, find_jc_index, mse, net_assimilation,
+                   penalty_cjp, penalty_intersections, penalty_nonneg,
+                   penalty_tpu_transition, penalty_vj_correlation,
+                   predict_curve, total_loss)
 from .metrics import CurveMetrics, pearson_r, r_squared, rmse
 from .model import (arrhenius, electron_transport, limitation_rates,
-                    net_assimilation, peaked_arrhenius, predict_curve)
+                    peaked_arrhenius)
 from .optimizer import (AdamState, FitResult, PointPrediction, adam_step,
                         fit, fit_groups, init_parameters, split_by_group)
 from .params import FitConfig, ParameterState, fitted_fields
@@ -33,26 +34,10 @@ from .synth import (SynthSpec, default_ci_grid, draw_jittered_params,
 
 __version__ = "0.1.0"
 
+# what the README documents; every name imported above stays an attribute
 __all__ = [
-    "FvCBConstants", "PARAM_DEFAULTS",
-    "CurveKind", "Dataset", "GasExchangeRecord", "ResponseCurve",
-    "classify_curve", "load_csv", "write_dataset", "write_results",
-    "FvcbError", "MissingColumn", "ParseError", "EmptyCurve", "IoError",
-    "SeriesTooShort", "TooFewPointsAfterCleanup", "DomainError",
-    "NonPositiveC", "LengthMismatch", "ZeroVariance", "DegenerateSeries",
-    "NonFinite", "DivergenceError",
-    "GradientVector", "loss_gradient",
-    "LossBreakdown", "mse", "find_jc_index", "penalty_cjp",
-    "penalty_intersections", "penalty_tpu_transition",
-    "penalty_vj_correlation", "penalty_nonneg", "total_loss",
-    "CurveMetrics", "rmse", "r_squared", "pearson_r",
-    "arrhenius", "peaked_arrhenius", "electron_transport",
-    "limitation_rates", "net_assimilation", "predict_curve",
-    "AdamState", "FitResult", "PointPrediction", "adam_step", "fit",
-    "fit_groups", "init_parameters", "split_by_group",
-    "FitConfig", "ParameterState", "fitted_fields",
-    "PreprocessConfig", "preprocess_curve", "preprocess_dataset",
-    "sg_smooth_linear",
-    "SynthSpec", "default_ci_grid", "draw_jittered_params",
-    "generate_curve", "generate_dataset",
+    "Dataset", "FitConfig", "FitResult", "GasExchangeRecord",
+    "ParameterState", "ParseError", "PointPrediction", "ResponseCurve",
+    "fit", "fit_groups", "generate_dataset", "load_csv", "net_assimilation",
+    "predict_curve", "r_squared", "rmse",
 ]

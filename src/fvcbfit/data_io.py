@@ -22,11 +22,6 @@ import numpy as np
 from .constants import DEFAULT_QIN, DEFAULT_TLEAF_C
 from .errors import EmptyCurve, IoError, MissingColumn, ParseError
 
-__all__ = [
-    "CurveKind", "GasExchangeRecord", "ResponseCurve", "Dataset",
-    "load_csv", "classify_curve", "write_results", "write_dataset",
-]
-
 REQUIRED_COLUMNS = ("CurveID", "FittingGroup", "Ci", "A")
 OPTIONAL_COLUMNS = ("Qin", "Tleaf")
 

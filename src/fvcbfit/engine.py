@@ -33,8 +33,6 @@ import itertools
 
 import numpy as np
 
-__all__ = ["Var", "value", "fuse", "backward", "grad", "sigmoid", "gather"]
-
 _created = itertools.count()
 
 

@@ -16,8 +16,6 @@ from .errors import NonFinite
 from .loss import Workspace, _evaluate
 from .params import FitConfig, MAIN_FOUR, ParameterState, fitted_fields
 
-__all__ = ["GradientVector", "loss_gradient"]
-
 
 class GradientVector:
     """Flat gradient with stable ordering and human-readable labels.

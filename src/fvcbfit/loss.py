@@ -61,6 +61,11 @@ constants, temp_type >= 1, fit_gm, or whether the kinetic fields are
 leaves. Each keeps the operation order of the per-evaluation code, so
 values and gradients keep their bits.
 
+`_evaluate` is the one composition of the model's primitives.
+`predict_curve` and `net_assimilation` run it on a one-curve workspace
+with the penalties off and map its prediction and limiting states back
+to the curve's own point order.
+
 A_p handling: where Wp is undefined (C below the (1+3*alpha_g)*Gamma*
 pole) the point is treated as non-limiting, i.e. it cannot trigger the
 ordering penalty and contributes nothing to the transition penalty.
@@ -72,24 +77,19 @@ A_p-based penalties are skipped.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import COLUMNS, CurveKind, Dataset
+from .data_io import COLUMNS, CurveKind, Dataset, ResponseCurve
 from .engine import Var, fuse, sigmoid, value
 from .errors import DegenerateSeries, FvcbError, LengthMismatch, NonPositiveC
 from .metrics import pearson_r
 from .model import _arrhenius, _arrhenius_factor, _kinetic_terms, \
     _peaked_arrhenius, _temperature_terms, electron_transport, \
     limitation_rates
-from .params import FitConfig, ParameterState, fitted_fields
-
-__all__ = [
-    "LossBreakdown", "mse", "find_jc_index", "penalty_cjp",
-    "penalty_intersections", "penalty_tpu_transition",
-    "penalty_vj_correlation", "penalty_nonneg", "total_loss",
-]
+from .params import (MAIN_FOUR, SHARED_FIELDS, FitConfig, ParameterState,
+                     fitted_fields)
 
 # Finite stand-in for "not limiting" inside gradient graphs; +inf would
 # poison backward passes with inf*0 products.
@@ -766,3 +766,38 @@ def total_loss(dataset: Dataset, params: ParameterState,
     ws = Workspace(dataset, params)
     _, breakdown, _, _ = _evaluate(ws, params, config)
     return breakdown
+
+
+def predict_curve(curve, params, config, entry: int = 0, group: int = 0):
+    """A and the limiting state ("c", "j" or "p"; ties go to "c", then "j")
+    at each point of one curve, in the curve's own order.
+
+    `_evaluate` runs on the curve alone with the penalties off, at
+    main-four column `entry` and shared column `group` of params. Under
+    fit_gm the curve's measured A gives C = Ci - A/g_m.
+    """
+    cols = {name: getattr(params, name)[[entry if name in MAIN_FOUR
+                                         else group]]
+            for name in MAIN_FOUR + SHARED_FIELDS}
+    zero = np.zeros(1, dtype=np.intp)
+    one = replace(params, curve_ids=(curve.curve_id,), group_ids=(0,),
+                  entry_of=zero, group_of=zero, onefit=False, **cols)
+    ws = Workspace(Dataset((curve,), {}), one)
+    aux = _evaluate(ws, one, replace(config, penalties=False))[3]
+    back = np.argsort(ws.orig_index)
+    return aux["pred"][back], aux["state"][back]
+
+
+def net_assimilation(point, params, config, entry: int = 0, group: int = 0):
+    """predict_curve's A (a float) and state at one point: a (ci, qin,
+    tleaf_c) triple, a GasExchangeRecord or any object with .ci, .qin and
+    .tleaf_c. The g_m substitution needs measured A, so fit_gm raises
+    ValueError."""
+    if config.fit_gm:
+        raise ValueError("g_m substitution needs measured A")
+    ci, qin, tleaf_c = (point.ci, point.qin, point.tleaf_c) \
+        if hasattr(point, "ci") else point
+    curve = ResponseCurve(0, 0, [ci], [0.0], [qin], [tleaf_c],
+                          CurveKind.CO2Response)
+    a_hat, states = predict_curve(curve, params, config, entry, group)
+    return float(a_hat[0]), states[0]

@@ -8,8 +8,6 @@ import numpy as np
 
 from .errors import LengthMismatch, ZeroVariance
 
-__all__ = ["CurveMetrics", "rmse", "r_squared", "pearson_r"]
-
 
 @dataclass(frozen=True)
 class CurveMetrics:

@@ -12,12 +12,15 @@ and Sharkey et al. (2007) for the biochemistry; Medlyn et al. (2002)
 for the temperature response forms; Busch et al. (2018) for the
 glycolate-export term alpha_g in Wp.
 
-Every function here is pure and accepts either plain numpy arrays or
-autodiff Vars for the parameter arguments, so the same code serves
-forward prediction and gradient evaluation. Each computes its value
-once on ndarrays; when an operand is a Var it returns a single graph
-node whose vector-Jacobian product is written out by hand, in the
-operation order of the formula it differentiates.
+This module holds the primitives only. `loss._evaluate` composes them
+into A, for fitting and for forward prediction alike (`loss.predict_curve`,
+`loss.net_assimilation`, synthetic curves), so the same code serves
+forward prediction and gradient evaluation. Every function here is pure
+and accepts plain numpy arrays or autodiff Vars for the parameter
+arguments. Each computes its value once on ndarrays; when an operand is
+a Var it returns a single graph node whose vector-Jacobian product is
+written out by hand, in the operation order of the formula it
+differentiates.
 
 References
 ----------
@@ -36,13 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import R_GAS, T_REF
-from .engine import Var, fuse, sigmoid, value
-from .errors import DomainError, NonPositiveC
-
-__all__ = [
-    "arrhenius", "peaked_arrhenius", "electron_transport",
-    "limitation_rates", "net_assimilation", "predict_curve",
-]
+from .engine import Var, fuse, value
+from .errors import DomainError
 
 
 def arrhenius(k25, dha, tleaf, r_gas: float = R_GAS):
@@ -278,100 +276,3 @@ def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
 
     return fuse(rates, (c, vcmax, j, tpu, gamma_star, kc, ko, alpha_g),
                 vjp), valid
-
-
-def _scaled_main(k25, dha, dhd, topt, tleaf_k, temp_type, r_gas):
-    # temperature response of a fitted main parameter
-    if temp_type == 0:
-        return k25
-    if temp_type == 1:
-        return arrhenius(k25, dha, tleaf_k, r_gas)
-    if temp_type == 2:
-        return peaked_arrhenius(k25, dha, dhd, topt, tleaf_k, r_gas)
-    raise ValueError(f"unknown temp_type {temp_type!r}")
-
-
-def net_assimilation(point, params, config, entry: int = 0, group: int = 0):
-    """Net assimilation and limiting state at a single measurement point.
-
-    Parameters
-    ----------
-    point : (ci, qin, tleaf_c) triple, a GasExchangeRecord, or any object
-        with .ci/.qin/.tleaf_c attributes.
-    params : ParameterState; `entry` picks the main-four column and
-        `group` the shared block.
-    config : FitConfig selecting light and temperature sub-models.
-
-    Returns
-    -------
-    (a_hat, state) : predicted A (umol m-2 s-1) and the limiting branch
-        label, one of "c", "j", "p". Ties go to "c", then "j".
-    """
-    if hasattr(point, "ci"):
-        ci, qin, tleaf_c = point.ci, point.qin, point.tleaf_c
-    else:
-        ci, qin, tleaf_c = point
-    a_hat, states = _predict_points(
-        np.asarray([ci], dtype=np.float64),
-        np.asarray([qin], dtype=np.float64),
-        np.asarray([tleaf_c], dtype=np.float64),
-        None, params, config, entry, group)
-    return float(a_hat[0]), states[0]
-
-
-def predict_curve(curve, params, config, entry: int = 0, group: int = 0):
-    """Vectorized forward prediction for one response curve.
-
-    Uses measured A for the g_m substitution when config.fit_gm is on.
-    Returns (a_hat, states) aligned with the curve's points.
-    """
-    return _predict_points(curve.ci, curve.qin, curve.tleaf_c, curve.a,
-                           params, config, entry, group)
-
-
-def _predict_points(ci, qin, tleaf_c, a_meas, params, config, entry, group):
-    cn = params.constants
-    r_gas = cn.r_gas
-    tk = tleaf_c + 273.15
-
-    c = ci
-    if config.fit_gm:
-        if a_meas is None:
-            raise ValueError("g_m substitution needs measured A")
-        c = ci - a_meas / params.gm[group]
-        if np.any(c <= 0.0):
-            raise NonPositiveC("C_i - A/g_m must stay positive")
-
-    vcmax = _scaled_main(params.vcmax25[entry], params.dha_vcmax[group],
-                         cn.dhd_vcmax, params.topt_vcmax[group],
-                         tk, config.temp_type, r_gas)
-    jmax = _scaled_main(params.jmax25[entry], params.dha_jmax[group],
-                        cn.dhd_jmax, params.topt_jmax[group],
-                        tk, config.temp_type, r_gas)
-    tpu = _scaled_main(params.tpu25[entry], params.dha_tpu[group],
-                       cn.dhd_tpu, params.topt_tpu[group],
-                       tk, config.temp_type, r_gas)
-    rd = params.rd25[entry]
-    kc = params.kc25[group]
-    ko = params.ko25[group]
-    gamma = params.gamma25[group]
-    if config.temp_type >= 1:
-        # Rd and the kinetic constants always follow plain Arrhenius
-        # with fixed activation energies; only the main three get the
-        # peaked form. temp_type 0 disables every response.
-        rd = arrhenius(rd, cn.dha_rd, tk, r_gas)
-        kc = arrhenius(kc, cn.dha_kc, tk, r_gas)
-        ko = arrhenius(ko, cn.dha_ko, tk, r_gas)
-        gamma = arrhenius(gamma, cn.dha_gamma, tk, r_gas)
-
-    j = electron_transport(qin, jmax, params.alpha[group],
-                           params.theta[group], config.light_type)
-    ag = sigmoid(params.alpha_g_raw[group])
-    rates, _ = limitation_rates(c, vcmax, j, tpu, gamma, kc, ko, cn.o2, ag)
-    wc, wj, wp = np.broadcast_to(rates, (3,) + c.shape)
-
-    w = np.minimum(np.minimum(wc, wj), wp)
-    a_hat = w * (1.0 - gamma / c) - rd
-    states = np.where(wc <= np.minimum(wj, wp), "c",
-                      np.where(wj <= wp, "j", "p"))
-    return a_hat, states

@@ -26,14 +26,11 @@ from . import engine
 from .data_io import Dataset
 from .errors import DivergenceError, FvcbError, NonPositiveC
 from .loss import LossBreakdown, Workspace, _evaluate, _group_sum, _Spans
-from .metrics import CurveMetrics
 # predict_curve is not called here, but stays a name of this module: the
 # benchmark's tracer (bench/spans.py) wraps fvcbfit.optimizer.predict_curve
-from .model import predict_curve  # noqa: F401
+from .loss import predict_curve  # noqa: F401
+from .metrics import CurveMetrics
 from .params import MAIN_FOUR, FitConfig, ParameterState, fitted_fields
-
-__all__ = ["AdamState", "PointPrediction", "FitResult", "init_parameters",
-           "adam_step", "fit", "split_by_group", "fit_groups"]
 
 MIN_POINTS_PER_CURVE = 5
 

@@ -15,9 +15,6 @@ import numpy as np
 from .constants import FvCBConstants, PARAM_DEFAULTS
 from .engine import sigmoid
 
-__all__ = ["FitConfig", "ParameterState", "MAIN_FOUR", "SHARED_FIELDS",
-           "fitted_fields"]
-
 MAIN_FOUR = ("vcmax25", "jmax25", "tpu25", "rd25")
 
 SHARED_FIELDS = (

@@ -31,9 +31,6 @@ import numpy as np
 from .data_io import CurveKind, Dataset, ResponseCurve
 from .errors import SeriesTooShort, TooFewPointsAfterCleanup
 
-__all__ = ["PreprocessConfig", "sg_smooth_linear", "preprocess_curve",
-           "preprocess_dataset"]
-
 MIN_SURVIVORS = 5
 MAX_END_FRACTION = 0.2
 

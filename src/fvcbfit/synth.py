@@ -6,6 +6,10 @@ curve, with a fixed draw order (four jitter factors if enabled, then
 one Gaussian noise value per grid point) so results are reproducible
 across platforms and the jittered truth can be re-derived from a
 SynthSpec alone via draw_jittered_params.
+
+A curve's noiseless A is `loss.predict_curve` on its grid, which runs
+the fit's own evaluator: a noiseless curve holds exactly the A that a
+fit's report gives at the generating parameters.
 """
 
 from __future__ import annotations
@@ -15,11 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data_io import CurveKind, Dataset, ResponseCurve
-from .model import _predict_points
+from .loss import predict_curve
 from .params import FitConfig, MAIN_FOUR, ParameterState
-
-__all__ = ["SynthSpec", "default_ci_grid", "draw_jittered_params",
-           "generate_curve", "generate_dataset"]
 
 
 def default_ci_grid() -> np.ndarray:
@@ -104,16 +105,16 @@ def generate_curve(spec: SynthSpec, entry: int = 0,
         ci = np.asarray(grid, dtype=np.float64)
         qin = np.full_like(ci, spec.qin_level)
         kind = CurveKind.CO2Response
-    tl = np.full_like(ci, spec.tleaf_c)
+    curve = ResponseCurve(curve_id=spec.curve_id,
+                          fitting_group=spec.fitting_group, ci=ci,
+                          a=np.zeros_like(ci), qin=qin,
+                          tleaf_c=np.full_like(ci, spec.tleaf_c), kind=kind)
     # the forward model on Ci; the g_m substitution needs measured A and
     # has no place in generation
     config = replace(spec.config, fit_gm=False)
-    a_hat, _ = _predict_points(ci, qin, tl, None, params, config,
-                               entry=entry, group=group)
-    a = a_hat + rng.normal(0.0, spec.noise_sd, size=a_hat.shape)
-    return ResponseCurve(curve_id=spec.curve_id,
-                         fitting_group=spec.fitting_group,
-                         ci=ci, a=a, qin=qin, tleaf_c=tl, kind=kind)
+    a_hat, _ = predict_curve(curve, params, config, entry=entry, group=group)
+    return replace(curve, a=a_hat + rng.normal(0.0, spec.noise_sd,
+                                               size=a_hat.shape))
 
 
 def generate_dataset(true_params: ParameterState, n_curves: int = 1,

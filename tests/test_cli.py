@@ -3,7 +3,9 @@ summaries, and flag plumbing."""
 
 import ast
 import importlib
+import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -386,3 +388,47 @@ def test_every_callable_the_benchmark_traces_resolves():
     missing = [f"{module}.{attr}" for module, attr in wrapped
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_every_call_the_benchmark_worker_makes_resolves():
+    # bench/worker.py drives each workload through the package's public
+    # names; each fvcbfit.<name>(...) call there must resolve and accept
+    # its keywords, and the worker reads each result's predictions
+    worker = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+    tree = ast.parse(worker.read_text(encoding="utf-8"))
+
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "fvcbfit":
+            return tuple(reversed(parts))
+        return None
+
+    calls = {}
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and dotted(call.func):
+            calls.setdefault(dotted(call.func), set()).update(
+                kw.arg for kw in call.keywords)
+    assert {("load_csv",), ("fit",), ("fit_groups",), ("FitConfig",),
+            ("cli", "main")} <= set(calls)
+    assert "jobs" in calls[("fit_groups",)]
+    import fvcbfit
+    for path, keywords in calls.items():
+        target = importlib.import_module(".".join(("fvcbfit",) + path[:-1]))
+        fn = getattr(target, path[-1])
+        inspect.signature(fn).bind_partial(**dict.fromkeys(keywords))
+    assert hasattr(fvcbfit.FitResult, "predictions")
+
+
+def test_public_names_are_the_documented_ones():
+    # fvcbfit.__all__ lists what the README documents, and each resolves
+    import fvcbfit
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    # the README's code: its fenced blocks and inline code spans
+    code = " ".join(re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S))
+    assert [name for name in fvcbfit.__all__
+            if not re.search(rf"\b{name}\b", code)] == []
+    assert all(hasattr(fvcbfit, name) for name in fvcbfit.__all__)

@@ -16,10 +16,10 @@ from fvcbfit.loss import (
     Workspace, _evaluate, _group_sum, _objective, _Spans, find_jc_index,
     mse, penalty_cjp,
     penalty_intersections, penalty_nonneg, penalty_tpu_transition,
-    penalty_vj_correlation, total_loss,
+    penalty_vj_correlation, predict_curve, total_loss,
 )
 from fvcbfit.metrics import pearson_r
-from fvcbfit.model import limitation_rates, predict_curve
+from fvcbfit.model import limitation_rates
 from fvcbfit.optimizer import split_by_group
 from fvcbfit.params import FitConfig, ParameterState, fitted_fields
 from fvcbfit.synth import generate_dataset

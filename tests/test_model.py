@@ -2,16 +2,20 @@
 sub-model, the limiting-state labels, and the temperature/light
 response limits."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fvcbfit import FitConfig, ParameterState
 from fvcbfit.constants import FvCBConstants
+from fvcbfit.data_io import CurveKind, ResponseCurve
 from fvcbfit.engine import Var, fuse, grad, value
 from fvcbfit.errors import DomainError, NonPositiveC
+from fvcbfit.loss import net_assimilation, predict_curve
 from fvcbfit.model import (
     arrhenius, peaked_arrhenius, electron_transport, limitation_rates,
-    net_assimilation, predict_curve,
 )
 
 
@@ -315,3 +319,77 @@ def test_gm_substitution_requires_positive_c():
                                        kind=CurveKind.CO2Response)
     with pytest.raises(NonPositiveC):
         predict_curve(curve, params, cfg)  # 100 - 5/0.01 = -400
+
+
+def test_net_assimilation_rejects_fit_gm():
+    # the g_m substitution C = Ci - A/g_m needs a measured A, which a
+    # single point given as (ci, qin, tleaf_c) does not carry
+    with pytest.raises(ValueError, match="measured A"):
+        net_assimilation((400.0, 2000.0, 25.0), ParameterState.single(),
+                         FitConfig(fit_gm=True))
+
+
+# ------------------------------------------------- independent reference
+
+def _load_reference():
+    # bench/reference.py was written from the equations without importing
+    # fvcbfit; it is loaded by path and only read
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("fvcb_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = _load_reference()
+PRED_RTOL = 1e-9  # the benchmark's tolerance on predicted A
+
+
+@pytest.mark.parametrize("light_type,temp_type,fit_gm",
+                         [(lt, tt, False) for lt in range(3)
+                          for tt in range(3)]
+                         + [(0, 0, True), (2, 2, True)])
+def test_predict_curve_matches_the_independent_reference(light_type,
+                                                         temp_type, fit_gm):
+    params = ParameterState.defaults(curve_ids=(3, 5, 8),
+                                     group_of_curve={3: 0, 5: 1, 8: 1},
+                                     gm=1.5)
+    params.vcmax25[:] = (70.0, 130.0, 95.0)
+    params.jmax25[:] = (150.0, 240.0, 170.0)
+    params.tpu25[:] = (20.0, 9.0, 11.0)
+    params.rd25[:] = (1.0, 2.0, 1.3)
+    params.dha_vcmax[:] = (60.0, 70.0)
+    params.topt_jmax[:] = (309.0, 305.0)
+    params.alpha[:] = (0.5, 0.3)
+    params.theta[:] = (0.9, 0.7)
+    params.alpha_g_raw[:] = (-12.0, -1.0)
+    entry, group = 2, 1
+    rng = np.random.default_rng(5)
+    n = 80
+    ci = rng.permutation(np.linspace(80.0, 1800.0, n))
+    qin = rng.uniform(200.0, 2000.0, n)
+    tleaf = rng.uniform(15.0, 38.0, n)
+    a = rng.uniform(0.0, 30.0, n)
+    curve = ResponseCurve(curve_id=8, fitting_group=1, ci=ci, a=a, qin=qin,
+                          tleaf_c=tleaf, kind=CurveKind.CO2Response)
+    cfg = FitConfig(light_type=light_type, temp_type=temp_type,
+                    fit_gm=fit_gm)
+    a_hat, states = predict_curve(curve, params, cfg, entry=entry,
+                                  group=group)
+
+    p = {name: float(getattr(params, name)[entry])
+         for name in REFERENCE.CURVE_FIELDS}
+    p.update({name: float((params.alpha_g if name == "alpha_g"
+                           else getattr(params, name))[group])
+              for name in REFERENCE.SHARED_FIELDS})
+    c = ci - a / params.gm[group] if fit_gm else ci
+    args = (c, qin, tleaf, p, light_type, temp_type)
+    a_ref, s_ref = REFERENCE.assimilation(*args)
+    err = np.abs(a_hat - a_ref) / np.maximum(1.0, np.abs(a_ref))
+    assert err.max() <= PRED_RTOL
+    # the state is compared where the two lowest rates differ clearly
+    w = np.sort(np.stack(REFERENCE.rates(*args)[:3]), axis=0)
+    clear = (w[1] - w[0]) > PRED_RTOL * np.maximum(1.0, np.abs(w[0]))
+    assert clear.sum() >= n - 2
+    np.testing.assert_array_equal(states[clear], s_ref[clear])
+    assert len(set(s_ref)) >= 2

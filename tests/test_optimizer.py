@@ -12,9 +12,10 @@ from fvcbfit import engine
 from fvcbfit.data_io import Dataset
 from fvcbfit.engine import Var
 from fvcbfit.errors import DivergenceError, FvcbError, ZeroVariance
-from fvcbfit.loss import LossBreakdown, Workspace, _evaluate, total_loss
+from fvcbfit.loss import (LossBreakdown, Workspace, _evaluate, predict_curve,
+                          total_loss)
 from fvcbfit.metrics import CurveMetrics, r_squared, rmse
-from fvcbfit.model import peaked_arrhenius, predict_curve
+from fvcbfit.model import peaked_arrhenius
 from fvcbfit.optimizer import (
     STALL_PATIENCE, AdamState, adam_step, fit, fit_groups, init_parameters,
     split_by_group,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fvcbfit.data_io import CurveKind
-from fvcbfit.model import predict_curve
+from fvcbfit.loss import predict_curve
 from fvcbfit.params import FitConfig, ParameterState
 from fvcbfit.synth import (
     SynthSpec, default_ci_grid, draw_jittered_params, generate_curve,
