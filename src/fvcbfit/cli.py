@@ -10,18 +10,18 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 fit divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
 import numpy as np
 
-from .data_io import CurveKind, _fmt, load_csv, write_dataset, write_results
+from .data_io import (CurveKind, _rows, _tables, _write_csv, load_csv,
+                      write_dataset, write_results)
 from .errors import DivergenceError, FvcbError
 # fit is not called here, but stays a name of this module: the benchmark's
 # tracer (bench/spans.py) wraps fvcbfit.cli.fit
 from .optimizer import fit, fit_groups  # noqa: F401
-from .params import FitConfig, ParameterState
+from .params import MAIN_FOUR, FitConfig, ParameterState
 from .preprocess import PreprocessConfig, preprocess_dataset
 from .synth import generate_dataset
 
@@ -243,18 +243,14 @@ def _run_fit(args) -> int:
         write_results(results, args.output, format=args.format,
                       points=args.points)
     if not quiet:
-        for res in results:
-            p = res.params
-            for i, cid in enumerate(p.curve_ids):
-                m = res.curve_metrics[cid]
-                stage = "yes" if res.tpu_stage[cid] else "no"
-                print(f"curve {cid} (group "
-                      f"{p.group_ids[p.group_of[i]]}): n={m.n_points}  "
-                      f"RMSE={m.rmse:.3f}  R2={m.r2:.3f}  TPU stage: {stage}")
-        all_m = [m for res in results for m in res.curve_metrics.values()]
-        mean_rmse = float(np.mean([m.rmse for m in all_m]))
-        mean_r2 = float(np.mean([m.r2 for m in all_m]))
-        print(f"mean RMSE={mean_rmse:.3f}  mean R2={mean_r2:.3f}")
+        curves, _ = _tables(results)
+        for r in _rows(curves):
+            print(f"curve {r['curve_id']} (group {r['fitting_group']}): "
+                  f"n={r['n_points']}  RMSE={r['rmse']:.3f}  "
+                  f"R2={r['r2']:.3f}  "
+                  f"TPU stage: {'yes' if r['tpu_stage'] else 'no'}")
+        print(f"mean RMSE={float(np.mean(curves['rmse'])):.3f}  "
+              f"mean R2={float(np.mean(curves['r2'])):.3f}")
         for res in results:
             gid = res.params.group_ids[0]
             print(f"group {gid}: loss {res.initial_loss:.6g} -> "
@@ -264,8 +260,7 @@ def _run_fit(args) -> int:
 
 
 def _run_synth(args) -> int:
-    overrides = {name: getattr(args, name)
-                 for name in ("vcmax25", "jmax25", "tpu25", "rd25")
+    overrides = {name: getattr(args, name) for name in MAIN_FOUR
                  if getattr(args, name) is not None}
     true_params = ParameterState.single(**overrides)
     config = FitConfig(light_type=args.light_type, temp_type=args.temp_type)
@@ -282,14 +277,11 @@ def _run_synth(args) -> int:
         fitting_group=args.group, **grids)
     write_dataset(dataset, args.output)
     if args.truth:
-        with open(args.truth, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["curve_id", "fitting_group",
-                        "vcmax25", "jmax25", "tpu25", "rd25"])
-            for curve, tp in zip(dataset.curves, truths):
-                w.writerow([curve.curve_id, curve.fitting_group,
-                            _fmt(tp.vcmax25[0]), _fmt(tp.jmax25[0]),
-                            _fmt(tp.tpu25[0]), _fmt(tp.rd25[0])])
+        _write_csv(args.truth, ("curve_id", "fitting_group") + MAIN_FOUR, [{
+            "curve_id": [c.curve_id for c in dataset.curves],
+            "fitting_group": [c.fitting_group for c in dataset.curves],
+            **{name: [getattr(tp, name)[0] for tp in truths]
+               for name in MAIN_FOUR}}])
     if not args.quiet:
         kind = "light-response" if args.light_curve else "CO2-response"
         print(f"wrote {args.n_curves} {kind} curve(s) x {args.n_points} "

@@ -407,40 +407,47 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     return Dataset(curves=tuple(curves), groups=dict(sorted(groups.items())))
 
 
-def _fmt(x) -> str:
-    # repr of the Python float: shortest string that round-trips exactly
-    return repr(float(x))
-
-
 # Rows rendered per write: bounds the cell strings held at once.
 WRITE_BLOCK_ROWS = 4096
 
 
-def _write_columns(fh, columns) -> None:
-    """Write equal-length 1-D arrays as CSV rows, WRITE_BLOCK_ROWS rows
-    per fh.write: floats by repr, other values by str.
+def _write_csv(path, header, tables) -> None:
+    """Write a CSV file: the header line, then the rows of each table in
+    turn. A table is a dict of equal-length 1-D columns keyed by the
+    header's names; WRITE_BLOCK_ROWS rows go per fh.write, floats by repr
+    (the shortest string that round-trips) and other values by str.
 
     These are the bytes csv.writer (QUOTE_MINIMAL) writes for the same
     rows: none of these cells holds a comma, quote or line break, so
     none is quoted, and every row ends in "\r\n".
     """
-    n = columns[0].shape[0]
-    for lo in range(0, n, WRITE_BLOCK_ROWS):
-        cells = [map(repr if c.dtype.kind == "f" else str,
-                     c[lo:lo + WRITE_BLOCK_ROWS].tolist()) for c in columns]
-        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for table in tables:
+            columns = [np.asarray(table[name]) for name in header]
+            for lo in range(0, columns[0].shape[0], WRITE_BLOCK_ROWS):
+                cells = [map(repr if c.dtype.kind == "f" else str,
+                             c[lo:lo + WRITE_BLOCK_ROWS].tolist())
+                         for c in columns]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _rows(table) -> list[dict]:
+    """A table's rows as dicts of Python values, in column order."""
+    return [dict(zip(table, row))
+            for row in zip(*(np.asarray(c).tolist() for c in table.values()))]
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write raw records back out in the input CSV schema."""
+    """Write raw records back out in the input CSV schema, one table per
+    curve."""
+    header = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+    tables = (dict(zip(header, [np.full(c.n_points, str(c.curve_id)),
+                                np.full(c.n_points, str(c.fitting_group)),
+                                *(getattr(c, name) for name in COLUMNS)]))
+              for c in dataset.curves)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("CurveID,FittingGroup,Ci,A,Qin,Tleaf\r\n")
-            for curve in dataset.curves:
-                ids = [np.full(curve.n_points, str(v))
-                       for v in (curve.curve_id, curve.fitting_group)]
-                _write_columns(fh, ids + [getattr(curve, name)
-                                          for name in COLUMNS])
+        _write_csv(path, header, tables)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -453,55 +460,44 @@ GROUP_COLUMNS = ["fitting_group", "n_curves", "alpha", "theta", "alpha_g",
 POINT_COLUMNS = ["curve_id", "ci", "a_measured", "a_predicted", "state"]
 
 
-def _curve_rows(results) -> list[dict]:
-    rows = []
+def _tables(results) -> tuple:
+    """The curve and group tables of fit results, rows sorted by (group,
+    curve) and by group."""
+    curves, groups = [], []
     for res in results:
         p = res.params
-        for i, cid in enumerate(p.curve_ids):
-            e = p.entry_of[i]
-            m = res.curve_metrics[cid]
-            rows.append({
-                "curve_id": cid,
-                "fitting_group": p.group_ids[p.group_of[i]],
-                "n_points": m.n_points,
-                "vcmax25": float(p.vcmax25[e]),
-                "jmax25": float(p.jmax25[e]),
-                "tpu25": float(p.tpu25[e]),
-                "rd25": float(p.rd25[e]),
-                "rmse": float(m.rmse),
-                "r2": float(m.r2),
-                "tpu_stage": bool(res.tpu_stage[cid]),
-            })
-    rows.sort(key=lambda r: (r["fitting_group"], r["curve_id"]))
-    return rows
+        m = [res.curve_metrics[cid] for cid in p.curve_ids]
+        col = {"curve_id": p.curve_ids,
+               "fitting_group": np.asarray(p.group_ids)[p.group_of],
+               "n_points": [x.n_points for x in m],
+               "rmse": [x.rmse for x in m], "r2": [x.r2 for x in m],
+               "tpu_stage": [res.tpu_stage[cid] for cid in p.curve_ids]}
+        curves.append([col[name] if name in col
+                       else getattr(p, name)[p.entry_of]
+                       for name in CURVE_COLUMNS])
+        n_curves = np.bincount(p.group_of, minlength=p.n_groups)
+        groups.append([p.group_ids, n_curves]
+                      + [getattr(p, name) for name in GROUP_COLUMNS[2:]])
+    if not results:  # header-only tables
+        curves = [[[]] * len(CURVE_COLUMNS)]
+        groups = [[[]] * len(GROUP_COLUMNS)]
+    curves = dict(zip(CURVE_COLUMNS, map(np.concatenate, zip(*curves))))
+    groups = dict(zip(GROUP_COLUMNS, map(np.concatenate, zip(*groups))))
+    by_curve = np.lexsort((curves["curve_id"], curves["fitting_group"]))
+    by_group = np.argsort(groups["fitting_group"], kind="stable")
+    return ({k: c[by_curve] for k, c in curves.items()},
+            {k: c[by_group] for k, c in groups.items()})
 
 
-def _group_rows(results) -> list[dict]:
-    rows = []
-    for res in results:
-        p = res.params
-        ag = p.alpha_g
-        for gi, gid in enumerate(p.group_ids):
-            n_curves = int(np.sum(p.group_of == gi))
-            rows.append({
-                "fitting_group": gid,
-                "n_curves": n_curves,
-                "alpha": float(p.alpha[gi]),
-                "theta": float(p.theta[gi]),
-                "alpha_g": float(ag[gi]),
-                "gm": float(p.gm[gi]),
-                "kc25": float(p.kc25[gi]),
-                "ko25": float(p.ko25[gi]),
-                "gamma25": float(p.gamma25[gi]),
-                "dha_vcmax": float(p.dha_vcmax[gi]),
-                "dha_jmax": float(p.dha_jmax[gi]),
-                "dha_tpu": float(p.dha_tpu[gi]),
-                "topt_vcmax": float(p.topt_vcmax[gi]),
-                "topt_jmax": float(p.topt_jmax[gi]),
-                "topt_tpu": float(p.topt_tpu[gi]),
-            })
-    rows.sort(key=lambda r: r["fitting_group"])
-    return rows
+def _point_table(res) -> dict:
+    """A result's points table for CSV, each run of one curve id rendered
+    once, for all its rows."""
+    table = {name: res.points[name] for name in POINT_COLUMNS}
+    cid = table["curve_id"]
+    starts = np.flatnonzero(np.diff(cid, prepend=cid[:1] - 1))
+    text = np.array([str(v) for v in cid[starts].tolist()], dtype=object)
+    table["curve_id"] = np.repeat(text, np.diff(starts, append=cid.shape[0]))
+    return table
 
 
 def write_results(result, path, format: str = "csv", points: bool = False) -> None:
@@ -513,27 +509,25 @@ def write_results(result, path, format: str = "csv", points: bool = False) -> No
     single FitResult or a sequence of them (one per fitting group).
     """
     results = [result] if hasattr(result, "params") else list(result)
-    curve_rows = _curve_rows(results)
-    group_rows = _group_rows(results)
+    curves, groups = _tables(results)
 
     fmt = format.lower()
     path = str(path)
     try:
         if fmt == "json":
-            doc = {"curves": curve_rows, "groups": group_rows}
+            doc = {"curves": _rows(curves), "groups": _rows(groups)}
             if points:
-                doc["points"] = [
-                    dict(zip(POINT_COLUMNS, row)) for res in results
-                    for row in zip(*(res.points[name].tolist()
-                                     for name in POINT_COLUMNS))]
+                doc["points"] = [row for res in results for row in _rows(
+                    {name: res.points[name] for name in POINT_COLUMNS})]
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
         elif fmt == "csv":
-            _write_table(path, CURVE_COLUMNS, curve_rows)
-            _write_table(_sibling(path, "_groups"), GROUP_COLUMNS, group_rows)
+            _write_csv(path, CURVE_COLUMNS, [curves])
+            _write_csv(_sibling(path, "_groups"), GROUP_COLUMNS, [groups])
             if points:
-                _write_points(_sibling(path, "_points"), results)
+                _write_csv(_sibling(path, "_points"), POINT_COLUMNS,
+                           map(_point_table, results))
         else:
             raise ValueError(f"unknown format {format!r}")
     except OSError as exc:
@@ -545,29 +539,3 @@ def _sibling(path: str, suffix: str) -> str:
     if dot <= path.replace("\\", "/").rfind("/"):
         return path + suffix
     return path[:dot] + suffix + path[dot:]
-
-
-def _write_table(path: str, columns: list, rows: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
-            out = []
-            for c in columns:
-                v = row[c]
-                out.append(_fmt(v) if isinstance(v, float) else v)
-            w.writerow(out)
-
-
-def _write_points(path: str, results) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(POINT_COLUMNS) + "\r\n")
-        for res in results:
-            cols = [res.points[name] for name in POINT_COLUMNS]
-            # each run of one curve id is rendered once, for all its rows
-            cid = cols[0]
-            starts = np.flatnonzero(np.diff(cid, prepend=cid[:1] - 1))
-            text = np.array([str(v) for v in cid[starts].tolist()],
-                            dtype=object)
-            cols[0] = np.repeat(text, np.diff(starts, append=cid.shape[0]))
-            _write_columns(fh, cols)

@@ -43,18 +43,6 @@ def value(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    # Reduce a cotangent back to the shape of the operand it belongs to.
-    if shape == ():
-        return np.asarray(g.sum())
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 class Var:
     """Graph node: value, parents, a VJP, its cotangent slot, whether
     `backward` allocated that cotangent, and its creation sequence
@@ -78,9 +66,6 @@ class Var:
     def shape(self):
         return self.v.shape
 
-    def item(self) -> float:
-        return float(self.v)
-
     def __repr__(self):
         return f"Var({self.v!r})"
 
@@ -88,11 +73,11 @@ class Var:
 def fuse(out, inputs, vjp):
     """`out` as one graph node over the Vars among `inputs`.
 
-    vjp(g) returns one cotangent per entry of `inputs`, None where no
-    gradient flows; entries for constant inputs are never read, so a
-    VJP may skip computing them. An input listed more than once gets
-    its cotangents summed in list order. With no Var among the inputs,
-    `out` comes back unchanged.
+    vjp(g) returns one cotangent per entry of `inputs`, of that entry's
+    shape, or None where no gradient flows; entries for constant inputs
+    are never read, so a VJP may skip computing them. An input listed
+    more than once gets its cotangents summed in list order. With no Var
+    among the inputs, `out` comes back unchanged.
     """
     live = [isinstance(x, Var) for x in inputs]
     if not any(live):
@@ -118,7 +103,8 @@ def backward(root: Var) -> list:
     it is summed. Interior cotangents are dropped once pushed; the
     gradient of each leaf reached is left in its `.g`, and the leaves
     come back in the order they were reached. The caller resets their
-    `.g` to None.
+    `.g` to None. A cotangent whose shape is not its parent's raises
+    ValueError: no VJP broadcasts.
     """
     root.g = np.ones_like(root.v)
     todo = [(-root.seq, root)]
@@ -136,7 +122,9 @@ def backward(root: Var) -> list:
                 if pg is None:
                     continue
                 if pg.shape != parent.v.shape:
-                    pg = _unbroadcast(pg, parent.v.shape)
+                    raise ValueError(f"a VJP returned a cotangent of shape "
+                                     f"{pg.shape} for a parent of shape "
+                                     f"{parent.v.shape}")
                 if parent.g is None:
                     parent.g, parent.own = pg, False
                     heapq.heappush(todo, (-parent.seq, parent))

@@ -81,6 +81,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constants import CELSIUS_OFFSET
 from .data_io import COLUMNS, CurveKind, Dataset, ResponseCurve
 from .engine import Var, fuse, sigmoid, value
 from .errors import DegenerateSeries, FvcbError, LengthMismatch, NonPositiveC
@@ -208,7 +209,7 @@ class Workspace:
     __slots__ = ("ci", "a", "qin", "tk", "pt_entry", "pt_group",
                  "seg_starts", "seg_lengths", "last_flat", "is_light",
                  "light_pt", "any_light", "light_only", "curve_ids",
-                 "curve_entry", "curve_group", "n_points", "n_curves",
+                 "curve_entry", "curve_group", "n_points",
                  "co2_curves", "corr_groups", "orig_index",
                  "n_groups", "group_n",
                  "pt_spans", "curve_spans", "co2_spans", "entry_spans",
@@ -229,7 +230,7 @@ class Workspace:
         self.ci, self.a, self.qin, tl = (
             np.concatenate([getattr(c, name) for c in curves])[self.orig_index]
             for name in COLUMNS)
-        self.tk = tl + 273.15
+        self.tk = tl + CELSIUS_OFFSET
         self.pt_entry = np.repeat(params.entry_of, self.seg_lengths)
         self.pt_group = np.repeat(params.group_of, self.seg_lengths)
         is_light = [c.kind is CurveKind.LightResponse for c in curves]
@@ -242,7 +243,6 @@ class Workspace:
         self.curve_entry = params.entry_of
         self.curve_group = params.group_of
         self.n_points = int(self.ci.shape[0])
-        self.n_curves = len(params.curve_ids)
         self.co2_curves = np.flatnonzero(~self.is_light)
         self.entry_group = np.empty(params.n_entries, dtype=np.intp)
         self.entry_group[params.entry_of] = params.group_of

@@ -432,3 +432,12 @@ def test_public_names_are_the_documented_ones():
     assert [name for name in fvcbfit.__all__
             if not re.search(rf"\b{name}\b", code)] == []
     assert all(hasattr(fvcbfit, name) for name in fvcbfit.__all__)
+
+
+def test_source_stays_within_its_line_budget():
+    # the package's modules hold at most 3,000 non-blank lines
+    import fvcbfit
+    lines = sum(1 for module in Path(fvcbfit.__file__).parent.glob("*.py")
+                for line in module.read_text(encoding="utf-8").splitlines()
+                if line.strip())
+    assert lines <= 3000

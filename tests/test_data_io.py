@@ -564,7 +564,8 @@ def test_write_points_matches_csv_writer(n, tmp_path):
             "ci": _floats(n, 10 * k), "a_measured": _floats(n, 10 * k + 1),
             "a_predicted": _floats(n, 10 * k + 2), "state": states}))
     path = tmp_path / "points.csv"
-    data_io._write_points(str(path), results)
+    data_io._write_csv(str(path), data_io.POINT_COLUMNS,
+                       map(data_io._point_table, results))
     rows = [row for res in results for row in zip(
         *(res.points[name].tolist() for name in data_io.POINT_COLUMNS))]
     assert len(rows) == 2 * n
@@ -591,9 +592,97 @@ def test_write_dataset_matches_csv_writer(n, tmp_path):
 def test_write_points_of_a_multi_group_fit_matches_csv_writer(two_group_fits,
                                                              tmp_path):
     path = tmp_path / "points.csv"
-    data_io._write_points(str(path), two_group_fits)
+    data_io._write_csv(str(path), data_io.POINT_COLUMNS,
+                       map(data_io._point_table, two_group_fits))
     rows = [row for res in two_group_fits for row in zip(
         *(res.points[name].tolist() for name in data_io.POINT_COLUMNS))]
     assert len(two_group_fits) == 2
     assert path.read_bytes() == _csv_writer_text(
         data_io.POINT_COLUMNS, rows).encode()
+
+
+CURVE_HEADER = ["curve_id", "fitting_group", "n_points", "vcmax25",
+                "jmax25", "tpu25", "rd25", "rmse", "r2", "tpu_stage"]
+GROUP_HEADER = ["fitting_group", "n_curves", "alpha", "theta", "alpha_g",
+                "gm", "kc25", "ko25", "gamma25", "dha_vcmax", "dha_jmax",
+                "dha_tpu", "topt_vcmax", "topt_jmax", "topt_tpu"]
+
+
+def _result_rows(results):
+    """The curve and group rows of fit results, field by field, sorted
+    by (group, curve) and by group."""
+    curves, groups = [], []
+    for res in results:
+        p = res.params
+        for i, cid in enumerate(p.curve_ids):
+            e, m = p.entry_of[i], res.curve_metrics[cid]
+            curves.append([cid, p.group_ids[p.group_of[i]], m.n_points]
+                          + [float(getattr(p, name)[e])
+                             for name in CURVE_HEADER[3:7]]
+                          + [m.rmse, m.r2, res.tpu_stage[cid]])
+        for gi, gid in enumerate(p.group_ids):
+            groups.append([gid, int(np.sum(p.group_of == gi))]
+                          + [float(getattr(p, name)[gi])
+                             for name in GROUP_HEADER[2:]])
+    curves.sort(key=lambda r: (r[1], r[0]))
+    groups.sort(key=lambda r: r[0])
+    return curves, groups
+
+
+@pytest.fixture(scope="module")
+def constant_a_fit():
+    from fvcbfit import fit
+    from fvcbfit.params import FitConfig
+    ci = np.linspace(50.0, 1500.0, 12)
+    flat = ResponseCurve(3, 2, ci, np.full(12, 7.25), np.full(12, 1800.0),
+                         np.full(12, 27.0), kind=CurveKind.CO2Response)
+    ramp = replace(flat, curve_id=1, a=3.0 + ci / 100.0)
+    res = fit(Dataset(curves=(flat, ramp), groups={2: [1, 3]}),
+              FitConfig(max_iter=5))
+    assert np.isnan(res.curve_metrics[3].r2)
+    return [res]
+
+
+@pytest.mark.parametrize("case", ["two_groups", "reversed", "constant_a"])
+def test_curve_and_group_tables_match_csv_writer_and_json(case, request,
+                                                          tmp_path):
+    if case == "constant_a":
+        results = request.getfixturevalue("constant_a_fit")
+    else:
+        results = request.getfixturevalue("two_group_fits")
+        if case == "reversed":
+            results = results[::-1]
+    curves, groups = _result_rows(results)
+    out = tmp_path / "res.csv"
+    write_results(results, str(out))
+    assert out.read_bytes() == _csv_writer_text(CURVE_HEADER,
+                                                curves).encode()
+    assert (tmp_path / "res_groups.csv").read_bytes() == _csv_writer_text(
+        GROUP_HEADER, groups).encode()
+    out = tmp_path / "res.json"
+    write_results(results, str(out), format="json")
+    assert out.read_text() == json.dumps({
+        "curves": [dict(zip(CURVE_HEADER, r)) for r in curves],
+        "groups": [dict(zip(GROUP_HEADER, r)) for r in groups]},
+        indent=2) + "\n"
+
+
+def test_truth_sidecar_matches_csv_writer(tmp_path):
+    from fvcbfit import ParameterState, cli
+    from fvcbfit.synth import SynthSpec, draw_jittered_params
+    truth = tmp_path / "truth.csv"
+    assert cli.main(["synth", "-o", str(tmp_path / "data.csv"),
+                     "--n-curves", "3", "--jitter", "--seed", "42",
+                     "--group", "6", "--vcmax25", "88.5",
+                     "--truth", str(truth), "-q"]) == 0
+    rows = []
+    for i in range(3):
+        tp = draw_jittered_params(SynthSpec(
+            ParameterState.single(vcmax25=88.5), seed=42 + i, jitter=True,
+            curve_id=i, fitting_group=6))
+        rows.append([i, 6] + [float(getattr(tp, name)[0])
+                              for name in ("vcmax25", "jmax25", "tpu25",
+                                           "rd25")])
+    assert truth.read_bytes() == _csv_writer_text(
+        ["curve_id", "fitting_group", "vcmax25", "jmax25", "tpu25", "rd25"],
+        rows).encode()
