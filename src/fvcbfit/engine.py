@@ -19,6 +19,13 @@ the operation order of the plain chain it replaces, so a cotangent that
 several consumers feed is summed in a fixed order and the gradients are
 reproducible to the last bit.
 
+Lifetime rule: a VJP captures every array it reads, its node's value
+included, and a fused function drops, before it defines its VJP, the
+operands that VJP does not read under the inputs given. Once an
+evaluation is complete `loss._evaluate` calls `release`, which lets go
+of every interior node's value: a finished graph holds only what its
+VJPs read, and reading an interior `.v` afterwards is a bug.
+
 Kink conventions, fixed for determinism and kept by every fused VJP:
   * min/max route the gradient entirely to the first argument on ties;
   * relu has zero subgradient exactly at 0;
@@ -44,11 +51,11 @@ def value(x):
 
 
 class Var:
-    """Graph node: value, parents, a VJP, its cotangent slot, whether
-    `backward` allocated that cotangent, and its creation sequence
-    number."""
+    """Graph node: value (None once released), its shape, parents, a
+    VJP, its cotangent slot, whether `backward` allocated that
+    cotangent, and its creation sequence number."""
 
-    __slots__ = ("v", "parents", "vjp", "g", "own", "seq")
+    __slots__ = ("v", "shape", "parents", "vjp", "g", "own", "seq")
 
     # keep numpy from absorbing `ndarray <op> Var` into a ufunc over an
     # object array
@@ -56,15 +63,12 @@ class Var:
 
     def __init__(self, val, parents=(), vjp=None):
         self.v = np.asarray(val, dtype=np.float64)
+        self.shape = self.v.shape
         self.parents = parents
         self.vjp = vjp
         self.g = None
         self.own = False
         self.seq = next(_created)
-
-    @property
-    def shape(self):
-        return self.v.shape
 
     def __repr__(self):
         return f"Var({self.v!r})"
@@ -78,6 +82,9 @@ def fuse(out, inputs, vjp):
     are never read, so a VJP may skip computing them. An input listed
     more than once gets its cotangents summed in list order. With no Var
     among the inputs, `out` comes back unchanged.
+
+    vjp captures every array it reads, `out` included, and nothing else:
+    `release` drops the node's value once its evaluation is complete.
     """
     live = [isinstance(x, Var) for x in inputs]
     if not any(live):
@@ -121,10 +128,10 @@ def backward(root: Var) -> list:
                 pg, cots[i] = cots[i], None
                 if pg is None:
                     continue
-                if pg.shape != parent.v.shape:
+                if pg.shape != parent.shape:
                     raise ValueError(f"a VJP returned a cotangent of shape "
                                      f"{pg.shape} for a parent of shape "
-                                     f"{parent.v.shape}")
+                                     f"{parent.shape}")
                 if parent.g is None:
                     parent.g, parent.own = pg, False
                     heapq.heappush(todo, (-parent.seq, parent))
@@ -152,6 +159,18 @@ def grad(root: Var, leaves) -> list[np.ndarray]:
     for leaf in reached:
         leaf.g = None
     return out
+
+
+def release(root: Var) -> None:
+    """Drop the value of every interior node a root reads; the root and
+    the leaves keep theirs, and parents, VJPs and shapes stay, so
+    `backward` still runs. A value of None marks a node as visited."""
+    todo = list(root.parents)
+    while todo:
+        node = todo.pop()
+        if node.vjp is not None and node.v is not None:
+            node.v = None
+            todo.extend(node.parents)
 
 
 def _expit(v):

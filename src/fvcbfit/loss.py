@@ -83,7 +83,7 @@ import numpy as np
 
 from .constants import CELSIUS_OFFSET
 from .data_io import COLUMNS, CurveKind, Dataset, ResponseCurve
-from .engine import Var, fuse, sigmoid, value
+from .engine import Var, fuse, release, sigmoid, value
 from .errors import DegenerateSeries, FvcbError, LengthMismatch, NonPositiveC
 from .metrics import pearson_r
 from .model import _arrhenius, _arrhenius_factor, _kinetic_terms, \
@@ -393,7 +393,11 @@ def _gamma_factor(gamma, c):
     """The photorespiratory factor 1 - Gamma*/C."""
     gv, cv = value(gamma), value(c)
     q = gv / cv
-    return fuse(1.0 - q, (gamma, c), lambda g: (-g / cv, g * q / cv))
+    out = 1.0 - q
+    if not isinstance(c, Var):
+        q = None  # read by the VJP only for C
+    return fuse(out, (gamma, c), lambda g: (
+        -g / cv, None if q is None else g * q / cv))
 
 
 def _spread(x, ws: Workspace, per_entry: bool = False):
@@ -430,7 +434,7 @@ def _segment_argmin(x, ws: Workspace) -> np.ndarray:
     return hits[np.searchsorted(hits, ws.seg_starts)]
 
 
-def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fv, rv, valid,
+def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fac, rv, valid,
                xs, ys, nonneg):
     """The six penalty terms on forward values, and their VJP.
 
@@ -446,6 +450,7 @@ def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fv, rv, valid,
     None when fac is constant), at the points of active terms only, and
     returns the cotangents of xs, ys and each nonneg field.
     """
+    fv = value(fac)
     aj = wj * fv - rv
     ac = wc * fv - rv
     d = ac - aj
@@ -510,6 +515,8 @@ def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fv, rv, valid,
         p_nn = np.add.accumulate(rows.reshape(len(nonneg), -1))[-1]
 
     pens = np.array([p_cjp, p_cgj, p_clj, p_tpu, p_corr, p_nn])
+    if not isinstance(fac, Var):
+        wc = wj = wp = None  # read by add only for fac
 
     def add(g, g_rates, g_fac, g_rd):
         # a term's sum is 0 exactly when none of its summands is positive;
@@ -606,7 +613,7 @@ def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
     # MSE's are made
     p, add = np.zeros((6, ws.n_groups)), None
     if config.penalties:
-        p, add = _penalties(ws, config, wc, wj, wp, fv, rv, valid,
+        p, add = _penalties(ws, config, wc, wj, wp, fac, rv, valid,
                             None if vcmax25 is None else value(vcmax25),
                             None if jmax25 is None else value(jmax25),
                             [value(t) for t in nonneg])
@@ -653,7 +660,9 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
 
     With `fitted` empty every operand is a plain ndarray and the result
     is a pure numpy computation. Each name in `fitted` becomes an
-    autodiff leaf instead, and the returned total is a Var.
+    autodiff leaf instead, and the returned total is a Var; once the
+    evaluation is complete, every interior value of its graph is
+    released (`engine.release`).
 
     Returns (total, LossBreakdown, leaves, aux) where aux carries
     per-curve diagnostics (the A_p - A_j gap at the last point, and its
@@ -734,18 +743,20 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
     total, terms, pred, *state = _objective(
         ws, config, rates, valid, fac, rd, P("vcmax25") if corr else None,
         P("jmax25") if corr else None, nonneg, state=report)
+    if report:
+        lf = ws.last_flat
+        w_last = value(rates)[:, lf] * value(fac)[lf] - value(rd)[lf]
+        aux = {
+            "tpu_gap": np.where(valid[lf], w_last[2] - w_last[1], np.nan),
+            "tpu_valid": valid[lf] & ~ws.is_light,
+            "pred": pred,
+            "state": state[0],
+            "terms": (*terms, value(total)),
+        }
+    if isinstance(total, Var):
+        release(total)
     if not report:
         return total, None, leaves, None
-
-    lf = ws.last_flat
-    w_last = value(rates)[:, lf] * value(fac)[lf] - value(rd)[lf]
-    aux = {
-        "tpu_gap": np.where(valid[lf], w_last[2] - w_last[1], np.nan),
-        "tpu_valid": valid[lf] & ~ws.is_light,
-        "pred": pred,
-        "state": state[0],
-        "terms": (*terms, value(total)),
-    }
     return total, _breakdown(aux["terms"]), leaves, aux
 
 

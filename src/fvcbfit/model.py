@@ -241,6 +241,16 @@ def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
     wp /= denom
     q = wp.copy() if c_var or g_var or isinstance(alpha_g, Var) else None
     np.copyto(wp, big, where=~valid)
+    # read by the VJP only for the operands named; wc and wj are views
+    # that would keep the whole rates array alive
+    if not c_var:
+        vv = jv = tv = None  # C
+    if not (c_var or kin_var):
+        wc = None  # C, Kc and Ko
+    if not (c_var or g_var):
+        wj = None  # C and Gamma*
+    if not g_var:
+        agv = None  # Gamma*
 
     def vjp(g):
         # 3*TPU and 1 + 3*alpha_g are recomputed where they are read

@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -327,10 +328,14 @@ def test_fit_with_preprocess_flag(tmp_path):
 
 def test_console_script_runs(tmp_path):
     path = tmp_path / "cs.csv"
+    # the child imports the package from where this process did
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "fvcbfit.cli", "synth", "-o", str(path),
          "--n-curves", "1", "-q"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert path.exists()
 

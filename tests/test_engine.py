@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fvcbfit.data_io import CurveKind, Dataset, GasExchangeRecord, ResponseCurve
-from fvcbfit.engine import Var, fuse, gather, grad, sigmoid, value
+from fvcbfit.engine import Var, fuse, gather, grad, release, sigmoid, value
 from fvcbfit.loss import Workspace, _gamma_factor, _objective, _site_co2
 from fvcbfit.model import arrhenius, electron_transport, limitation_rates, \
     peaked_arrhenius
@@ -346,22 +346,65 @@ def test_backward_visits_newest_first_and_clears_cotangents():
     np.testing.assert_array_equal(g2, g)
 
 
-def test_composite_expression_matches_finite_differences():
-    # the shape of the real objective: rates, min, MSE and penalties,
-    # through the fused nodes, on both sides of the Wc/Wj crossover
+def objective_graph(theta):
+    """The shape of the real objective on one 16-point curve: rates, min,
+    MSE and penalties through the fused nodes, on both sides of the Wc/Wj
+    crossover, from Vcmax, Jmax, TPU and Rd in theta (a Var or an
+    array)."""
     ws = workspace([30.0 * np.linspace(100.0, 1600.0, 16)
                     / (np.linspace(100.0, 1600.0, 16) + 300.0)])
     c = ws.ci
-    cfg = FitConfig()
     gamma = np.full(16, 42.75)
+    vmax, jmax, tpu, rd = (gather(theta, np.full(16, k)) for k in range(4))
+    rates, valid = limitation_rates(c, vmax, jmax, tpu, gamma, 404.9,
+                                    278.4, 210.0, 0.1, big=1e9)
+    fac = _gamma_factor(gamma, c)
+    return _objective(ws, FitConfig(), rates, valid, fac, rd, None, None,
+                      [rd])[0]
 
-    def build(theta):
-        vmax, jmax, tpu, rd = (gather(theta, np.full(16, k)) for k in range(4))
-        rates, valid = limitation_rates(c, vmax, jmax, tpu, gamma, 404.9,
-                                        278.4, 210.0, 0.1, big=1e9)
-        fac = _gamma_factor(gamma, c)
-        return _objective(ws, cfg, rates, valid, fac, rd, None, None, [rd])[0]
 
-    x0 = np.array([100.0, 200.0, 11.0, 1.5])
-    assert 0.0 < value(build(x0)) < 1e3
-    check_against_fd(build, x0, rtol=1e-5, atol=1e-8)
+THETA0 = np.array([100.0, 200.0, 11.0, 1.5])
+
+
+def test_composite_expression_matches_finite_differences():
+    assert 0.0 < value(objective_graph(THETA0)) < 1e3
+    check_against_fd(objective_graph, THETA0, rtol=1e-5, atol=1e-8)
+
+
+def interior_nodes(root):
+    """The nodes with a VJP that a root reads, the root excluded."""
+    found, todo = [], list(root.parents)
+    while todo:
+        node = todo.pop()
+        if node.vjp is not None and all(node is not m for m in found):
+            found.append(node)
+            todo.extend(node.parents)
+    return found
+
+
+def test_release_keeps_root_leaves_shapes_and_gradient():
+    leaf, ref_leaf = Var(THETA0), Var(THETA0)
+    root, ref = objective_graph(leaf), objective_graph(ref_leaf)
+    nodes = interior_nodes(root)
+    shapes = [n.v.shape for n in nodes]
+    root_v = root.v
+    assert len(nodes) == 5  # four gathers and the rates
+    release(root)
+    assert root.v is root_v
+    np.testing.assert_array_equal(leaf.v, THETA0)
+    assert all(n.v is None for n in nodes)
+    assert [n.shape for n in nodes] == shapes
+    (g,) = grad(root, [leaf])
+    (g_ref,) = grad(ref, [ref_leaf])
+    assert g.tobytes() == g_ref.tobytes()
+
+
+def test_released_parent_still_checks_cotangent_shape():
+    x = Var(np.array([1.0, 2.0]))
+    y = gather(x, np.array([0, 1, 1]))
+    z = fuse(value(y).sum(), (y,), lambda g: (np.ones(2),))
+    release(z)
+    assert y.v is None and x.v is not None
+    with pytest.raises(ValueError,
+                       match=r"shape \(2,\) for a parent of shape \(3,\)"):
+        grad(z, [x])

@@ -20,7 +20,7 @@ from fvcbfit.loss import (
 )
 from fvcbfit.metrics import pearson_r
 from fvcbfit.model import limitation_rates
-from fvcbfit.optimizer import split_by_group
+from fvcbfit.optimizer import fit, split_by_group
 from fvcbfit.params import FitConfig, ParameterState, fitted_fields
 from fvcbfit.synth import generate_dataset
 
@@ -368,37 +368,99 @@ def test_workspace_operands_follow_the_fields_they_are_built_from(name):
     assert same_as_fresh(other) != same_as_fresh(params)
 
 
-# Peak memory of one taped evaluation and its gradient, in arrays of one
-# float64 per point: 22.7 measured (37.7 before the operands that depend
-# only on the data were built once per workspace), plus a margin of two
-# arrays for numpy's small allocations.
-WORKING_SET_BOUND = 25.0
+def dense_dataset(temps=(25.0,)):
+    """40 A/Ci curves of 500 points, split evenly over the leaf
+    temperatures; curve i is drawn with seed 3 + i."""
+    per = 40 // len(temps)
+    curves = []
+    for k, t in enumerate(temps):
+        ds, _ = generate_dataset(ParameterState.single(), n_curves=per,
+                                 noise_sd=0.5, seed=3 + per * k, jitter=True,
+                                 ci_grid=np.linspace(40.0, 1800.0, 500),
+                                 tleaf_c=t)
+        curves += [replace(c, curve_id=c.curve_id + per * k)
+                   for c in ds.curves]
+    return Dataset(tuple(curves), {0: [c.curve_id for c in curves]})
 
 
-def test_dense_iteration_working_set_stays_bounded():
-    ds, _ = generate_dataset(ParameterState.single(), n_curves=40,
-                             noise_sd=0.5, seed=3, jitter=True,
-                             ci_grid=np.linspace(40.0, 1800.0, 500))
-    cfg = FitConfig()
+def peak_point_arrays(run, n_points):
+    """Peak memory that run() allocates, in arrays of one float64 per
+    point."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n_points)
+
+
+FOUR_TEMPERATURES = (18.0, 25.0, 32.0, 38.0)
+
+
+def iteration_peak(temps, cfg, report):
+    """Peak point-arrays of one taped evaluation of dense_dataset(temps)
+    and its gradient, once the workspace's operands are built."""
+    ds = dense_dataset(temps)
     params = ParameterState.defaults(curve_ids=[c.curve_id
                                                 for c in ds.curves])
     ws = Workspace(ds, params)
     fitted = fitted_fields(cfg, ws.light_only)
 
     def iteration():
-        total, _, leaves, _ = _evaluate(ws, params, cfg, fitted)
+        total, _, leaves, _ = _evaluate(ws, params, cfg, fitted, report)
         grad(total, [leaves[f] for f in fitted])
 
     iteration()  # builds the workspace's operands
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        iteration()
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
     assert ws.n_points == 20000
-    assert peak / (8 * ws.n_points) < WORKING_SET_BOUND
+    return peak_point_arrays(iteration, ws.n_points)
+
+
+# Peak memory of one taped evaluation and its gradient on 40 curves x
+# 500 points at 25 C, in arrays of one float64 per point, with the report
+# and without it as in a fit: 16.2 and 15.7 measured (23.2 and 22.7 while
+# a finished graph kept every interior value, 37.7 before the operands
+# that depend only on the data were built once per workspace), plus a
+# margin of two arrays for numpy's small allocations.
+WORKING_SET_BOUND = {True: 18.25, False: 17.75}
+
+
+def test_dense_iteration_working_set_stays_bounded():
+    for report, bound in WORKING_SET_BOUND.items():
+        assert iteration_peak((25.0,), FitConfig(), report) < bound
+
+
+# The same at four temperatures on the heaviest paths, without the
+# report: the peaked temperature response measured 57.8 (62.8 before),
+# and with the non-rectangular light response as well 67.1 (74.1).
+HEAVY_WORKING_SET_BOUNDS = {
+    "temp_type_2": (FitConfig(temp_type=2), 59.8),
+    "light_type_2_temp_type_2": (FitConfig(light_type=2, temp_type=2), 69.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEAVY_WORKING_SET_BOUNDS))
+def test_heavy_path_working_set_stays_bounded(name):
+    cfg, bound = HEAVY_WORKING_SET_BOUNDS[name]
+    assert iteration_peak(FOUR_TEMPERATURES, cfg, False) < bound
+
+
+# Peak memory of a fit of a few iterations on the 40 x 500 input at 25 C,
+# in point-arrays: the workspace and its operands, then each
+# iteration's graph built while the previous one is still alive, so what
+# a finished graph holds adds to one evaluation and its gradient. 31.7
+# measured (38.7 while a finished graph kept every interior value), plus
+# the two-array margin.
+FIT_WORKING_SET_BOUND = 33.75
+
+
+def test_consecutive_graphs_of_a_fit_stay_bounded():
+    ds = dense_dataset()
+    cfg = FitConfig(max_iter=4)
+    fit(ds, cfg)  # imports and first-use set-up
+    assert peak_point_arrays(lambda: fit(ds, cfg), 20000) \
+        < FIT_WORKING_SET_BOUND
 
 
 # --- the penalty gradient, added only where a term is active -------------
