@@ -288,19 +288,17 @@ def load_csv(path, kind_overrides: dict | None = None) -> Dataset:
     kind_overrides maps curve id -> CurveKind (or "co2"/"light") and
     replaces automatic classification for those curves.
 
-    Raises MissingColumn, ParseError (with the file line number: for a
-    row with fewer cells than the header, for a blank, non-numeric or
-    non-finite cell, and for a CurveID or FittingGroup that is not an
-    integer in the int64 range) or EmptyCurve. Rows violating the
-    sanity bounds (Ci <= 0, Qin < 0, Tleaf outside [-10, 60] C) are
-    dropped with a warning. Curves come in the order of their first row
-    in the file.
+    Raises MissingColumn, ParseError (naming the file line of a row with
+    fewer cells than the header, of a blank, non-numeric or non-finite
+    cell, or of a CurveID or FittingGroup that is not an int64 integer)
+    or EmptyCurve. Rows outside the sanity bounds (Ci <= 0, Qin < 0,
+    Tleaf outside [-10, 60] C) are dropped with a warning. Curves come in
+    the order of their first row.
 
-    Lines are read in chunks of CHUNK_ROWS. A chunk without a quote
-    goes to numpy's C reader; a chunk that reader or a check rejects is
-    split by csv.reader and converted again, cell by cell if need be, so
-    an error names the same row and says the same thing either way. From
-    the first chunk with a quote on, which may open a cell that spans
+    Lines are read CHUNK_ROWS at a time. A chunk without a quote goes to
+    numpy's C reader; one that it or a check rejects goes through
+    csv.reader, cell by cell if need be, so an error reads the same
+    either way. From the first chunk with a quote on, as a cell may span
     lines, the rest of the file is read as csv rows.
     """
     try:

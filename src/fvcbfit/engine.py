@@ -6,9 +6,8 @@ vector-Jacobian product (VJP) that maps the cotangent of its value to
 one cotangent per parent. Parents are always older than their
 consumers, so creation order is a topological order: `backward` visits
 the nodes a root reads newest first, popping them from a heap keyed by
-that number. It is one reverse walk in creation order, with no
-recursion and no tables keyed by object identity; cotangents live on
-the nodes themselves.
+that number, with no recursion and no tables keyed by object identity;
+cotangents live on the nodes themselves.
 
 There are no generic arithmetic nodes. The model's composite functions
 (model.py, loss.py) compute their values once on plain ndarrays and,
@@ -23,8 +22,10 @@ Lifetime rule: a VJP captures every array it reads, its node's value
 included, and a fused function drops, before it defines its VJP, the
 operands that VJP does not read under the inputs given. Once an
 evaluation is complete `loss._evaluate` calls `release`, which lets go
-of every interior node's value: a finished graph holds only what its
-VJPs read, and reading an interior `.v` afterwards is a bug.
+of every interior node's value, and lets go of its per-point leaves'
+values too: a finished graph holds only what its VJPs read, reading an
+interior or a released leaf's `.v` afterwards is a bug, and `grad` sizes
+an unreached leaf from its `.shape`.
 
 Kink conventions, fixed for determinism and kept by every fused VJP:
   * min/max route the gradient entirely to the first argument on ties;
@@ -75,16 +76,14 @@ class Var:
 
 
 def fuse(out, inputs, vjp):
-    """`out` as one graph node over the Vars among `inputs`.
+    """`out` as one graph node over the Vars among `inputs`, or `out`
+    unchanged when there is none.
 
     vjp(g) returns one cotangent per entry of `inputs`, of that entry's
-    shape, or None where no gradient flows; entries for constant inputs
-    are never read, so a VJP may skip computing them. An input listed
-    more than once gets its cotangents summed in list order. With no Var
-    among the inputs, `out` comes back unchanged.
-
-    vjp captures every array it reads, `out` included, and nothing else:
-    `release` drops the node's value once its evaluation is complete.
+    shape, or None where no gradient flows; those of constant inputs are
+    never read, so a VJP may skip them. An input listed more than once
+    gets its cotangents summed in list order. vjp captures every array
+    it reads, `out` included, and nothing else (the lifetime rule).
     """
     live = [isinstance(x, Var) for x in inputs]
     if not any(live):
@@ -99,19 +98,15 @@ def fuse(out, inputs, vjp):
 def backward(root: Var) -> list:
     """Push the cotangent of a root back to every node it reads.
 
-    The root is seeded with ones: a vector root, such as the per-group
-    totals of the fitting objective, gives every entry a cotangent of 1.0.
-
-    Nodes are visited newest first, so each one has received the
-    cotangents of all its consumers, summed in the order those consumers
-    were visited, before its own VJP runs. The first sum allocates the
-    node's cotangent and later ones add into it in place, since no VJP
-    holds that array; each cotangent a VJP returns is let go as soon as
-    it is summed. Interior cotangents are dropped once pushed; the
-    gradient of each leaf reached is left in its `.g`, and the leaves
-    come back in the order they were reached. The caller resets their
-    `.g` to None. A cotangent whose shape is not its parent's raises
-    ValueError: no VJP broadcasts.
+    The root is seeded with ones, so each entry of a vector root gets a
+    cotangent of 1.0. Nodes are visited newest first, so each has summed
+    the cotangents of all its consumers, in the order they were visited,
+    before its own VJP runs: the first sum takes the array a VJP returned
+    and later ones add into a copy that backward owns. Interior
+    cotangents are dropped once pushed; each leaf reached keeps its
+    gradient in `.g`, for the caller to reset, and the leaves come back
+    in the order they were reached. A cotangent whose shape is not its
+    parent's raises ValueError: no VJP broadcasts.
     """
     root.g = np.ones_like(root.v)
     todo = [(-root.seq, root)]
@@ -149,12 +144,10 @@ def backward(root: Var) -> list:
 
 def grad(root: Var, leaves) -> list[np.ndarray]:
     """Gradients of a root (of the sum of its entries) with respect to
-    each leaf Var.
-
-    Leaves not reachable from the root get zeros of their shape.
-    """
+    each leaf Var; a leaf the root does not reach gets zeros of its
+    shape, also when its value was released."""
     reached = backward(root)
-    out = [np.zeros_like(leaf.v) if leaf.g is None else leaf.g
+    out = [np.zeros(leaf.shape) if leaf.g is None else leaf.g
            for leaf in leaves]
     for leaf in reached:
         leaf.g = None

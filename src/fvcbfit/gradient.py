@@ -1,19 +1,16 @@
-"""Gradient of the fitting objective with respect to fitted parameters.
-
-One public entry point, loss_gradient, which evaluates the objective
-once and returns its value together with a labeled gradient holding
-exactly one entry per fitted scalar. Parameters the configuration does
-not fit (for example theta under light_type 0) never appear.
+"""Gradient of the fitting objective with respect to fitted parameters:
+`loss_gradient` evaluates the objective once and returns its value and a
+labeled gradient with one entry per fitted scalar. Parameters the
+configuration does not fit (theta under light_type 0, say) never appear.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import engine
 from .data_io import Dataset
 from .errors import NonFinite
-from .loss import Workspace, _evaluate
+from .loss import Workspace, _evaluate, _gradient
 from .params import FitConfig, MAIN_FOUR, ParameterState, fitted_fields
 
 
@@ -72,11 +69,8 @@ def loss_gradient(dataset: Dataset, params: ParameterState,
     total, breakdown, leaves, _ = _evaluate(ws, params, config, fitted)
     if not np.isfinite(breakdown.total):
         raise NonFinite(f"loss is {breakdown.total}")
-    parts = engine.grad(total, [leaves[name] for name in fitted])
-    names: list = []
-    for field in fitted:
-        names.extend(_labels(params, field))
-    flat = np.concatenate(parts)
+    flat = _gradient(ws, total, leaves)
+    names = [name for field in fitted for name in _labels(params, field)]
     if not np.all(np.isfinite(flat)):
         bad = int(np.flatnonzero(~np.isfinite(flat))[0])
         raise NonFinite(f"gradient of {names[bad]} is {flat[bad]}")

@@ -1,7 +1,7 @@
 """The penalty-augmented fitting objective.
 
-Each fitting group is its own problem: groups share no parameter, and
-each has its own objective
+Each fitting group is its own problem with its own objective, and the
+groups share no parameter:
 
 total = MSE over the group's retained points (divided by the group's n)
       + per CO2 curve:  the limitation-ordering penalty at the point
@@ -13,65 +13,41 @@ total = MSE over the group's retained points (divided by the group's n)
                         (groups of >= 7 curves)
       + per fitted scalar that must stay non-negative: max(0, -k).
 
-Every term, and the total, is a vector with one entry per group, and
-each group's entry has the bits it has in a workspace of that group
-alone. `total_loss` and the LossBreakdown of a multi-group dataset
-report each term summed over the groups, in group order.
+Every term is a vector over the groups, each entry with the bits it has
+in a workspace of that group alone: a group's sum over its span is the
+span's own .sum(), 0.0 plus its pairwise sum (`_group_sum`).
+`total_loss` and the LossBreakdown report each term summed over the
+groups in group order.
 
-A group's sum over its span of points, curves or columns is the span's
-own .sum(), 0.0 plus the pairwise sum of the span. All groups are summed
-in one np.add.reduceat over a buffer that holds a 0.0 before each span
-(`_group_sum`): reduceat starts each span from its first element, so the
-leading zero gives it the same start. The non-negativity term sums every
-penalized field in one such call and adds the per-field rows in field
-order, starting from the first row, which equals 0 + row since every
-row is >= +0.
+The standalone penalty functions define the reference semantics on plain
+series; `_evaluate`, the one composition of the model's primitives,
+computes them vectorized across curves and builds the gradient graph.
+Its leaves hold the fitted fields' values at the points, Vcmax25, Jmax25
+and TPU25 as one (3, n) stack through the temperature response, the
+light response and the rates, and `_gradient` sums each leaf row's
+cotangent over each column's points. The prediction, the MSE, the six
+penalties and the total are one node (`_objective`), the one consumer of
+the rates, rd and the factor 1 - Gamma*/C. Its VJP adds the penalties'
+part only at the points of active terms (every point of a curve whose
+margin term is active, the closest A_c/A_j point of one whose ordering
+term is, the last point of one whose TPU term is), in the order of the
+sums of a separate penalty node: rd and fac take the MSE's part, then
+A_c's, A_p's and A_j's, and A_j's part sums the margin, ordering and TPU
+terms in that order. A dense VJP would add only zeros at the other
+points, and every per-point cotangent ends in a leaf whose sum over a
+column starts from +0.0, so the gradients are those of the dense VJP
+bit for bit.
 
-The standalone penalty functions below operate on plain numpy series
-and define the reference semantics; the batched evaluator `total_loss`
-computes the same quantities vectorized across curves, and doubles as
-the gradient graph builder when handed autodiff leaves. In that graph
-the prediction, the MSE, the six penalty terms and the total are one
-node (`_objective`), the one consumer of the stacked rates, of rd and of
-the factor 1 - Gamma*/C. Its hand-written VJP builds the MSE's
-cotangents of those three in arrays it allocates, then adds the
-penalties' part only at the points of active terms: every point of a
-curve whose margin term is active (a margin missed with no point of the
-sign it sums, as on a light curve where A_c stays above A_j, has no
-gradient), the closest A_c/A_j point of a curve whose ordering term is,
-the last point of a curve whose TPU term is, and nothing when no term
-is active, which is most iterations of a fit. At
-each point it touches it keeps the order of the sums of a separate
-penalty node: rd and fac take the MSE's part, then A_c's, A_p's and
-A_j's, and A_j's part sums the margin, ordering and TPU terms in that
-order. A dense VJP would add only zeros at the other points, and every
-path from rates, rd and fac to a leaf ends in a spread whose scatter-add
-starts from +0.0, so the gradients are those of the dense VJP bit for
-bit.
-
-Per-point operands that depend only on the data and on fields the
-evaluation does not differentiate are built on the first evaluation of
-a Workspace and kept on it (`_fixed_operands`): 1/T and 1/298 - 1/T and
-the Arrhenius factors of Rd, Kc, Ko and Gamma* (temp_type >= 1); unless
-the kinetic fields are autodiff leaves, Kc, Ko and Gamma* at each point;
-and unless g_m is fitted as well, the Wc and Wj denominators
-C + Kc(1 + O/Ko) and 4(C + 2 Gamma*) and the factor 1 - Gamma*/C. They
-are built again when an input changes: the kinetic fields' values, the
-constants, temp_type >= 1, fit_gm, or whether the kinetic fields are
-leaves. Each keeps the operation order of the per-evaluation code, so
-values and gradients keep their bits.
-
-`_evaluate` is the one composition of the model's primitives.
-`predict_curve` and `net_assimilation` run it on a one-curve workspace
-with the penalties off and map its prediction and limiting states back
-to the curve's own point order.
+Per-point operands that depend only on the data and on fields that are
+not fitted are built once per Workspace (`_fixed_operands`).
+`predict_curve` and `net_assimilation` run `_evaluate` on a one-curve
+workspace with the penalties off.
 
 A_p handling: where Wp is undefined (C below the (1+3*alpha_g)*Gamma*
-pole) the point is treated as non-limiting, i.e. it cannot trigger the
-ordering penalty and contributes nothing to the transition penalty.
-On light-response curves the A_p series is held non-updating (values
-participate in the forward minimum, gradients do not flow), and the two
-A_p-based penalties are skipped.
+pole) the point cannot trigger the ordering penalty and adds nothing to
+the transition penalty. On light-response curves A_p takes part in the
+forward minimum but gets no gradient, and the two A_p penalties are
+skipped.
 """
 
 from __future__ import annotations
@@ -83,12 +59,12 @@ import numpy as np
 
 from .constants import CELSIUS_OFFSET
 from .data_io import COLUMNS, CurveKind, Dataset, ResponseCurve
+from . import engine
 from .engine import Var, fuse, release, sigmoid, value
 from .errors import DegenerateSeries, FvcbError, LengthMismatch, NonPositiveC
 from .metrics import pearson_r
 from .model import _arrhenius, _arrhenius_factor, _kinetic_terms, \
-    _peaked_arrhenius, _temperature_terms, electron_transport, \
-    limitation_rates
+    _light_response, _peaked_arrhenius, _rates, _temperature_terms
 from .params import (MAIN_FOUR, SHARED_FIELDS, FitConfig, ParameterState,
                      fitted_fields)
 
@@ -99,6 +75,12 @@ _BIG = 1e9
 MIN_CURVES_FOR_R = 7
 
 KINETICS = ("kc25", "ko25", "gamma25")
+
+FIELDS = MAIN_FOUR + SHARED_FIELDS
+# the (3, n) stacks, in row order
+RATES = ("vcmax25", "jmax25", "tpu25")
+DHA = ("dha_vcmax", "dha_jmax", "dha_tpu")
+TOPT = ("topt_vcmax", "topt_jmax", "topt_tpu")
 
 
 @dataclass(frozen=True)
@@ -195,26 +177,24 @@ class Workspace:
     """Flattened, canonically ordered view of a dataset for batch loss.
 
     Curves are ordered by (fitting group, curve id) and points within a
-    curve by ascending Ci, independent of input order, so losses and
-    gradients are invariant to permutations of the input. Each fitting
-    group's curves, points and main-four entries are therefore
-    contiguous, and the *_spans attributes (`_Spans`) hold each group's
-    (start, end) over them. orig_index holds each point's position in the
-    curves' own columns, concatenated in canonical curve order. fixed
-    holds the operands `_fixed_operands` built last, and fixed_key what
-    they were built from; nonneg and nonneg_key likewise for
-    `_nonneg_layout`.
+    curve by ascending Ci, so losses and gradients do not depend on input
+    order, and each group's curves, points and main-four entries are
+    contiguous; the *_spans attributes (`_Spans`) hold each group's
+    (start, end) over them. orig_index is each point's position in the
+    curves' own columns, concatenated in canonical order. fixed and
+    nonneg hold what `_fixed_operands` and `_nonneg_layout` built last,
+    and *_key what from. field_at[f, i] is where curve i's value of
+    FIELDS[f] sits in the concatenation of the fields' columns.
     """
 
     __slots__ = ("ci", "a", "qin", "tk", "pt_entry", "pt_group",
                  "seg_starts", "seg_lengths", "last_flat", "is_light",
                  "light_pt", "any_light", "light_only", "curve_ids",
-                 "curve_entry", "curve_group", "n_points",
-                 "co2_curves", "corr_groups", "orig_index",
-                 "n_groups", "group_n",
+                 "curve_entry", "curve_group", "n_points", "co2_curves",
+                 "corr_groups", "orig_index", "n_groups", "group_n",
                  "pt_spans", "curve_spans", "co2_spans", "entry_spans",
                  "column_spans", "entry_group", "co2_group",
-                 "fixed_key", "fixed", "nonneg_key", "nonneg")
+                 "field_at", "fixed_key", "fixed", "nonneg_key", "nonneg")
 
     def __init__(self, dataset: Dataset, params: ParameterState):
         by_id = {c.curve_id: c for c in dataset.curves}
@@ -258,6 +238,10 @@ class Workspace:
                                                   np.arange(k + 1)))
         self.column_spans = _Spans(np.arange(k + 1))
         self.group_n = np.diff(pt_cuts).astype(np.float64)
+        e, main = params.n_entries, len(MAIN_FOUR)
+        self.field_at = np.concatenate((
+            np.arange(main)[:, None] * e + params.entry_of, main * e
+            + np.arange(len(SHARED_FIELDS))[:, None] * k + params.group_of))
         # groups eligible for the correlation penalty
         self.corr_groups = []
         if not params.onefit:
@@ -270,10 +254,9 @@ class Workspace:
 
 
 class _Spans:
-    """Consecutive spans that cover an array, one per group, given by
-    their cuts (0, ..., n), and what `_group_sum` needs to sum them in
-    one call: where each element goes in a buffer that holds a 0.0
-    before each span (dest; None for one span), where each padded span
+    """Consecutive spans that cover an array, one per group, by their
+    cuts (0, ..., n), and for `_group_sum` where each element goes in its
+    zero-padded buffer (dest; None for one span), where each padded span
     starts, and the buffer's size."""
 
     __slots__ = ("cuts", "bounds", "dest", "starts", "size")
@@ -290,14 +273,10 @@ class _Spans:
 
 
 def _group_sum(x, spans: _Spans):
-    """x summed over each span, one entry per span.
-
-    Each entry has the bits of that span's own .sum(), so a group's sum
-    is the one it has in a workspace of that group alone. .sum() adds the
-    pairwise sum of the span to a starting 0.0, while np.add.reduceat
-    starts a span from its first element: so the spans are copied into a
-    buffer that holds a 0.0 before each one, and reduceat sums the padded
-    spans, 0.0 + pairwise(span) each. One span is summed directly.
+    """x summed over each span, one entry per span, with the bits of the
+    span's own .sum(): 0.0 plus its pairwise sum. np.add.reduceat starts
+    a span from its first element, so it sums a buffer that holds a 0.0
+    before each span. One span is summed directly.
     """
     if spans.dest is None:
         return x.sum(keepdims=True)
@@ -307,10 +286,10 @@ def _group_sum(x, spans: _Spans):
 
 
 def _nonneg_layout(ws: Workspace, nonneg) -> tuple:
-    """How the penalty sums the concatenated nonneg fields: the spans of
-    each (field, group) pair, the group of each column and each field's
-    slice. A main-four field has one column per entry, a shared field one
-    per group; kept on the workspace for the last field lengths seen."""
+    """How the penalty sums the concatenated nonneg fields (a main-four
+    field has a column per entry, a shared one per group): each (field,
+    group) pair's span, each column's group and each field's slice, kept
+    on the workspace for the last field lengths seen."""
     key = [t.shape[0] for t in nonneg]
     if ws.nonneg_key != key:
         cuts, groups, slices, off = [], [], [], 0
@@ -337,22 +316,23 @@ def _site_co2(ci, a, gm):
 
 
 def _fixed_operands(ws: Workspace, params: ParameterState,
-                    config: FitConfig, leaves) -> dict:
+                    config: FitConfig, fitted) -> dict:
     """The per-point operands of `_evaluate` that depend only on the data
-    and on fields that are not autodiff leaves, kept on the workspace
-    until one of their inputs changes (see the module docstring).
-
-    Entries that do not apply are None:
-      inv_t, tf: 1/T and 1/298 - 1/T (temp_type >= 1);
-      e_rd: the Arrhenius factor of Rd (temp_type >= 1);
+    and on fields that are not fitted, kept on the workspace until an
+    input changes (the kinetic fields' values, the constants, temp_type
+    >= 1, fit_gm, or whether the kinetic fields are fitted), each in the
+    operation order of the per-evaluation code. Entries are None where
+    they do not apply:
+      inv_t, tf, e_rd: 1/T, 1/298 - 1/T and Rd's Arrhenius factor
+        (temp_type >= 1);
       kin: Kc, Ko and Gamma* at each point, temperature-scaled (no
-        kinetic leaf); Kc and Ko are None when terms is set;
-      e_kin: the Arrhenius factors of Kc, Ko and Gamma* (temp_type >= 1
-        with kinetic leaves);
+        kinetic field fitted); Kc and Ko are None when terms is set;
+      e_kin: the Arrhenius factors of Kc, Ko and Gamma* (temp_type >= 1,
+        kinetic fields fitted);
       terms, fac: (C + Kc(1 + O/Ko), 4(C + 2 Gamma*)) and 1 - Gamma*/C
-        (no kinetic leaf and no fit_gm).
+        (no kinetic field and no g_m fitted).
     """
-    kin = not any(name in leaves for name in KINETICS)
+    kin = not any(name in fitted for name in KINETICS)
     warm = config.temp_type >= 1
     c_fixed = not config.fit_gm
     key = (warm, c_fixed, params.constants,
@@ -400,23 +380,15 @@ def _gamma_factor(gamma, c):
         -g / cv, None if q is None else g * q / cv))
 
 
-def _spread(x, ws: Workspace, per_entry: bool = False):
-    """x[ws.pt_entry] (per_entry) or x[ws.pt_group], as each curve's value
-    repeated over its points; the VJP scatter-adds per point."""
-    xv = value(x)
-    idx, pts = (ws.curve_entry, ws.pt_entry) if per_entry \
-        else (ws.curve_group, ws.pt_group)
-    return fuse(np.repeat(xv[idx], ws.seg_lengths), (x,), lambda g: (
-        np.bincount(pts, weights=g, minlength=xv.shape[0]),))
-
-
-def _spread_sigmoid(raw, ws: Workspace):
-    """sigmoid(raw) spread over the points: the logistic taken per group,
-    its VJP per point."""
-    rv = value(raw)
-    out = np.repeat(sigmoid(rv)[ws.curve_group], ws.seg_lengths)
-    return fuse(out, (raw,), lambda g: (np.bincount(
-        ws.pt_group, weights=g * out * (1.0 - out), minlength=rv.shape[0]),))
+def _spread_sigmoid(raw, ws: Workspace, at_points=None):
+    """sigmoid of each group's raw value, taken per group and repeated
+    over its points. at_points, if given, is the leaf of the raw values
+    at the points that takes the VJP; nothing reads its values."""
+    out = np.repeat(sigmoid(raw)[ws.curve_group], ws.seg_lengths)
+    node = fuse(out, (at_points,), lambda g: (g * out * (1.0 - out),))
+    if at_points is not None:
+        at_points.v = None
+    return node
 
 
 def _relu(x):
@@ -438,17 +410,15 @@ def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fac, rv, valid,
                xs, ys, nonneg):
     """The six penalty terms on forward values, and their VJP.
 
-    Returns (pens, add). pens is [p_cjp, p_c_gt_j, p_c_lt_j, p_j_lt_p,
-    p_corr, p_nonneg], each a vector over the groups. The terms read the
+    Returns (pens, add): pens is [p_cjp, p_c_gt_j, p_c_lt_j, p_j_lt_p,
+    p_corr, p_nonneg], each a vector over the groups, read from the
     rates through A_x = W_x * fac - rd. xs and ys are the Vcmax25 and
-    Jmax25 columns, None without the correlation term; nonneg holds the
-    fitted scalars whose negative part is penalized: main-four fields
-    (one column per entry) or shared ones (one per group).
-
-    add(g, g_rates, g_fac, g_rd) adds the penalties' part of the
-    objective's cotangent g to the rates, fac and rd cotangents (g_fac
-    None when fac is constant), at the points of active terms only, and
-    returns the cotangents of xs, ys and each nonneg field.
+    Jmax25 columns (None without the correlation term); nonneg holds the
+    columns of the fields whose negative part is penalized.
+    add(g, g_rates, g_fac, g_rd) adds the penalties' part of cotangent g
+    to the rates, fac (None when constant) and rd cotangents at the
+    points of active terms only, and returns those of xs, ys and each
+    nonneg field.
     """
     fv = value(fac)
     aj = wj * fv - rv
@@ -598,14 +568,12 @@ def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
     """The MSE of A = min(Wc, Wj, Wp) * fac - rd plus the penalties.
 
     One node, the one consumer of rates, fac and rd; returns (total,
-    terms, pred), where total and each of terms, the MSE and the six
-    penalties, have one entry per group. Each group's MSE is divided by
-    its own point count. The penalties are those of `_penalties`, all
-    zero when config.penalties is off; vcmax25 and jmax25 are given for
+    terms, pred), total and each term (the MSE, each group's over its
+    own point count, and the six penalties of `_penalties`, zero without
+    config.penalties) with one entry per group. vcmax25 and jmax25 feed
     the correlation term only. On light-response curves Wp takes part in
-    the minimum but receives no gradient. With state, a fourth value
-    follows: the limiting rate at each point, "c", "j" or "p", ties going
-    to "c", then "j".
+    the minimum but gets no gradient. With state a fourth value follows:
+    the limiting rate at each point, "c", "j" or "p", ties to "c", "j".
     """
     wc, wj, wp = value(rates)
     fv, rv = value(fac), value(rd)
@@ -658,41 +626,57 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
               fitted: tuple = (), report: bool = True):
     """Loss of a workspace; the one evaluator for values and gradients.
 
-    With `fitted` empty every operand is a plain ndarray and the result
-    is a pure numpy computation. Each name in `fitted` becomes an
-    autodiff leaf instead, and the returned total is a Var; once the
-    evaluation is complete, every interior value of its graph is
-    released (`engine.release`).
+    The fields in `fitted` are read through autodiff leaves, and the
+    total is then a Var: one leaf of values at the points per field, or
+    per stack of three (RATES, DHA, TOPT), that holds a fitted field, and
+    one leaf of columns per fitted field the penalties read. Once the
+    evaluation is complete, the graph's interior values (`engine.release`)
+    and the per-point leaves' values are let go.
 
-    Returns (total, LossBreakdown, leaves, aux) where aux carries
-    per-curve diagnostics (the A_p - A_j gap at the last point, and its
-    validity) computed from forward values, the prediction and the
-    limiting state at each point, in canonical order, and the
-    breakdown's terms before they are summed over groups. total has one
-    entry per group. A fit's report (its points, states, curve metrics
-    and TPU flags) is built from the aux of its final evaluation. With
-    report off the breakdown and aux, which only reporting reads, are
-    not built and come back as None.
+    Returns (total, LossBreakdown, leaves, aux); total has one entry per
+    group, and leaves, (fitted, [(per-point leaf, its fields)], {field:
+    per-column leaf}), is what `_gradient` reads. aux holds, in canonical
+    order, the last point's A_p - A_j gap per curve and its validity, the
+    prediction and limiting state at each point, and the terms before
+    they are summed over groups; a fit's report comes from it. With
+    report off the breakdown and aux are None.
     """
     cn = params.constants
-    r_gas = cn.r_gas
-    leaves = {name: Var(getattr(params, name)) for name in fitted}
+    points, columns = [], {}
+    values = np.concatenate([getattr(params, name) for name in FIELDS])
 
-    def P(name):
-        return leaves[name] if name in leaves else getattr(params, name)
+    def spread(*names):
+        # curve values of consecutive FIELDS, repeated over the points: a
+        # (rows, n) stack, or (n,) for one field; a leaf if one is fitted
+        f = FIELDS.index(names[0])
+        at = ws.field_at[f:f + len(names)] if len(names) > 1 \
+            else ws.field_at[f]
+        x = np.repeat(values[at], ws.seg_lengths, axis=-1)
+        if any(n in fitted for n in names):
+            x = Var(x)
+            points.append((x, names))
+        return x
 
-    fx = _fixed_operands(ws, params, config, leaves)
-    ve, je, te, rd = (_spread(P(name), ws, per_entry=True)
-                      for name in ("vcmax25", "jmax25", "tpu25", "rd25"))
+    def column(name):
+        # a field's columns as the penalties read them
+        x = getattr(params, name)
+        if name in fitted:
+            x = columns[name] = Var(x)
+        return x
+
+    fx = _fixed_operands(ws, params, config, fitted)
+    s = spread(*RATES)
+    rd = spread("rd25")
     if fx["kin"] is None:
-        kc, ko, gamma = (_spread(P(name), ws) for name in KINETICS)
+        kc, ko, gamma = (spread(name) for name in KINETICS)
     else:
         kc, ko, gamma = fx["kin"]
-    ag = _spread_sigmoid(P("alpha_g_raw"), ws)
+    ag = _spread_sigmoid(params.alpha_g_raw, ws, spread("alpha_g_raw")
+                         if "alpha_g_raw" in fitted else None)
 
     c = ws.ci
     if config.fit_gm:
-        c = _site_co2(ws.ci, ws.a, _spread(P("gm"), ws))
+        c = _site_co2(ws.ci, ws.a, spread("gm"))
         bad = value(c) <= 0.0
         if bad.any():
             raise NonPositiveC("C_i - A/g_m went non-positive",
@@ -705,28 +689,20 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
         if fx["e_kin"] is not None:
             kc, ko, gamma = (_scaled(k, e)
                              for k, e in zip((kc, ko, gamma), fx["e_kin"]))
-    tf = fx["tf"]
     if config.temp_type == 1:
-        ve = _arrhenius(ve, _spread(P("dha_vcmax"), ws), tf, r_gas)
-        je = _arrhenius(je, _spread(P("dha_jmax"), ws), tf, r_gas)
-        te = _arrhenius(te, _spread(P("dha_tpu"), ws), tf, r_gas)
+        s = _arrhenius(s, spread(*DHA), fx["tf"], cn.r_gas)
     elif config.temp_type == 2:
-        inv_t = fx["inv_t"]
-        ve = _peaked_arrhenius(ve, _spread(P("dha_vcmax"), ws), cn.dhd_vcmax,
-                               _spread(P("topt_vcmax"), ws), inv_t, tf, r_gas)
-        je = _peaked_arrhenius(je, _spread(P("dha_jmax"), ws), cn.dhd_jmax,
-                               _spread(P("topt_jmax"), ws), inv_t, tf, r_gas)
-        te = _peaked_arrhenius(te, _spread(P("dha_tpu"), ws), cn.dhd_tpu,
-                               _spread(P("topt_tpu"), ws), inv_t, tf, r_gas)
+        dhd = np.array([[cn.dhd_vcmax], [cn.dhd_jmax], [cn.dhd_tpu]])
+        s = _peaked_arrhenius(s, spread(*DHA), dhd, spread(*TOPT),
+                              fx["inv_t"], fx["tf"], cn.r_gas)
+    if config.light_type >= 1:
+        s = _light_response(ws.qin, s, spread("alpha"), spread("theta")
+                            if config.light_type == 2 else None,
+                            config.light_type)
 
-    if config.light_type == 0:
-        j = je
-    else:
-        j = electron_transport(ws.qin, je, _spread(P("alpha"), ws),
-                               _spread(P("theta"), ws), config.light_type)
-
-    rates, valid = limitation_rates(c, ve, j, te, gamma, kc, ko, cn.o2, ag,
-                                    big=_BIG, terms=fx["terms"])
+    rates, valid, vjp = _rates(c, value(s), gamma, kc, ko, cn.o2, ag, _BIG,
+                               fx["terms"])
+    rates = fuse(rates, (c, s, gamma, kc, ko, ag), vjp)
     fac = _gamma_factor(gamma, c) if fx["fac"] is None else fx["fac"]
 
     nonneg, corr = [], False
@@ -734,30 +710,55 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
         # only parameters the configuration actually fits are penalized
         eligible = set(fitted) if fitted \
             else set(fitted_fields(config, ws.light_only))
-        if config.positive_rd and "rd25" in eligible:
-            nonneg.append(P("rd25"))
-        for name in ("dha_vcmax", "dha_jmax", "dha_tpu", "alpha", "theta"):
-            if name in eligible:
-                nonneg.append(P(name))
+        nonneg = [column(name) for name in ("rd25",) * config.positive_rd
+                  + DHA + ("alpha", "theta") if name in eligible]
         corr = config.r_penalty and ws.corr_groups
     total, terms, pred, *state = _objective(
-        ws, config, rates, valid, fac, rd, P("vcmax25") if corr else None,
-        P("jmax25") if corr else None, nonneg, state=report)
+        ws, config, rates, valid, fac, rd, column("vcmax25") if corr else None,
+        column("jmax25") if corr else None, nonneg, state=report)
     if report:
         lf = ws.last_flat
         w_last = value(rates)[:, lf] * value(fac)[lf] - value(rd)[lf]
         aux = {
             "tpu_gap": np.where(valid[lf], w_last[2] - w_last[1], np.nan),
             "tpu_valid": valid[lf] & ~ws.is_light,
-            "pred": pred,
-            "state": state[0],
+            "pred": pred, "state": state[0],
             "terms": (*terms, value(total)),
         }
     if isinstance(total, Var):
         release(total)
+        for leaf, _ in points:
+            leaf.v = None
+    leaves = (fitted, points, columns)
     if not report:
         return total, None, leaves, None
     return total, _breakdown(aux["terms"]), leaves, aux
+
+
+def _gradient(ws: Workspace, total: Var, leaves) -> np.ndarray:
+    """The gradient of an `_evaluate` total, summed over its groups: the
+    fitted fields in order, one coordinate per main-four entry or group.
+    A coordinate is its field's per-point cotangent summed over its
+    points in order, plus its per-column leaf's cotangent. These two
+    terms are all it sums, so the order of their sum keeps its bits; a
+    field the configuration does not read gets zeros."""
+    fitted, points, columns = leaves
+    cots = engine.grad(total, [x for x, _ in points] + list(columns.values()))
+    direct = dict(zip(columns, cots[len(points):]))
+    rows = {}
+    for (_, names), g in zip(points, cots):
+        rows.update(zip(names, g if len(names) > 1 else [g]))
+    out = []
+    for name in fitted:
+        main = name in MAIN_FOUR
+        size = ws.entry_group.shape[0] if main else ws.n_groups
+        col = np.bincount(ws.pt_entry if main else ws.pt_group,
+                          weights=rows[name], minlength=size) \
+            if name in rows else np.zeros(size)
+        if name in direct:
+            col += direct[name]
+        out.append(col)
+    return np.concatenate(out)
 
 
 def _breakdown(terms) -> LossBreakdown:
@@ -768,11 +769,8 @@ def _breakdown(terms) -> LossBreakdown:
 
 def total_loss(dataset: Dataset, params: ParameterState,
                config: FitConfig | None = None) -> LossBreakdown:
-    """Evaluate the full objective over a dataset.
-
-    On several fitting groups each term is the sum, in group order, of
-    the terms each group has on its own.
-    """
+    """The full objective over a dataset; on several fitting groups each
+    term is the sum, in group order, of each group's own."""
     config = config or FitConfig()
     ws = Workspace(dataset, params)
     _, breakdown, _, _ = _evaluate(ws, params, config)
@@ -781,11 +779,9 @@ def total_loss(dataset: Dataset, params: ParameterState,
 
 def predict_curve(curve, params, config, entry: int = 0, group: int = 0):
     """A and the limiting state ("c", "j" or "p"; ties go to "c", then "j")
-    at each point of one curve, in the curve's own order.
-
-    `_evaluate` runs on the curve alone with the penalties off, at
-    main-four column `entry` and shared column `group` of params. Under
-    fit_gm the curve's measured A gives C = Ci - A/g_m.
+    at each point of one curve, in its own order: `_evaluate` on the curve
+    alone with the penalties off, at main-four column `entry` and shared
+    column `group` of params. Under fit_gm, C = Ci - A/g_m of measured A.
     """
     cols = {name: getattr(params, name)[[entry if name in MAIN_FOUR
                                          else group]]

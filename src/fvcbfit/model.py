@@ -13,14 +13,17 @@ for the temperature response forms; Busch et al. (2018) for the
 glycolate-export term alpha_g in Wp.
 
 This module holds the primitives only. `loss._evaluate` composes them
-into A, for fitting and for forward prediction alike (`loss.predict_curve`,
-`loss.net_assimilation`, synthetic curves), so the same code serves
-forward prediction and gradient evaluation. Every function here is pure
-and accepts plain numpy arrays or autodiff Vars for the parameter
-arguments. Each computes its value once on ndarrays; when an operand is
-a Var it returns a single graph node whose vector-Jacobian product is
-written out by hand, in the operation order of the formula it
-differentiates.
+into A, for fitting and for forward prediction alike. Every function
+here is pure and accepts plain numpy arrays or autodiff Vars for the
+parameter arguments. Each computes its value once on ndarrays; when an
+operand is a Var it returns a single graph node whose vector-Jacobian
+product is written out by hand, in the operation order of the formula it
+differentiates. `loss._evaluate` carries Vcmax, Jmax and TPU as one
+(3, n) stack through one call each of the temperature response, the
+light response (`_light_response`, J in Jmax's row) and the rates
+(`_rates`), whose VJPs work in the cotangent they are handed, as
+no other node reads it; the public functions are thin wrappers over the
+same implementations.
 
 References
 ----------
@@ -104,7 +107,6 @@ def _peaked_arrhenius(k25, dha, dhd, topt, inv_t, tf, r_gas):
     if np.any(h <= 0.0) or np.any(dhd <= h):
         raise DomainError("peaked response requires dhd > dha > 0")
     e = _arrhenius_factor(h, tf, r_gas)
-    arr = k * e
     w = dhd / h
     u = w - 1.0
     lg = np.log(u)
@@ -112,26 +114,42 @@ def _peaked_arrhenius(k25, dha, dhd, topt, inv_t, tf, r_gas):
     cd = dhd / r_gas
     e_ref = np.exp(cd * (inv - 1.0 / T_REF) - lg)
     e_t = np.exp(cd * (inv - inv_t) - lg)
-    ref = 1.0 + e_ref
     at_t = 1.0 + e_t
-    out = arr * ref / at_t
+    out = k * e * (1.0 + e_ref) / at_t
 
     def vjp(g):
-        g_m = g / at_t
-        g_arr = g_m * ref
+        # k * e and f(298) = 1 + e_ref are rebuilt rather than kept, and
+        # the work is done in place, in g too, so that at most four
+        # arrays of the stack's size are made at once
+        gz = g / at_t
+        g_k = gz * (1.0 + e_ref)
         gh = gt = None
         if isinstance(dha, Var):
-            gh = (g_arr * k) * e * tf / r_gas
-        # f(298) then f(tleaf): each reaches dha through ln(dhd/dha - 1)
+            gh = g_k * k
+            gh *= e
+            gh *= tf
+            gh /= r_gas
+        g_k *= e
+        gz *= k * e
+        np.negative(g, out=g)
+        g *= out
+        g /= at_t
+        # f(298), then f(tleaf): each reaches dha through ln(dhd/dha - 1)
         # and topt through 1/topt
-        for gf, ef in ((g_m * arr, e_ref), (-g * out / at_t, e_t)):
-            gz = gf * ef
+        for gz, ef in ((gz, e_ref), (g, e_t)):
+            gz *= ef
             if gh is not None:
-                gh = gh + gz / u * w / h
+                q = gz / u
+                q *= w
+                q /= h
+                gh += q
             if isinstance(topt, Var):
-                gi = -(gz * cd) * inv / to
-                gt = gi if gt is None else gt + gi
-        return g_arr * e, gh, gt
+                gz *= cd
+                np.negative(gz, out=gz)
+                gz *= inv
+                gz /= to
+                gt = gz if gt is None else np.add(gt, gz, out=gt)
+        return g_k, gh, gt
 
     return fuse(out, (k25, dha, topt), vjp)
 
@@ -148,9 +166,28 @@ def electron_transport(qin, jmax, alpha=None, theta=None, light_type: int = 0):
     """
     if light_type == 0:
         return jmax
+    out, vjp = _electron(qin, value(jmax), alpha, theta, light_type)
+    return fuse(out, (alpha, jmax, theta), vjp)
+
+
+def _light_response(qin, s, alpha, theta, light_type: int):
+    """The stack s of Vcmax, Jmax and TPU with J in Jmax's row, one node."""
+    sv = value(s)
+    j, back = _electron(qin, sv[1], alpha, theta, light_type)
+    out = sv.copy()
+    out[1] = j
+
+    def vjp(g):
+        g_alpha, g[1], g_theta = back(g[1])
+        return g, g_alpha, g_theta
+
+    return fuse(out, (s, alpha, theta), vjp)
+
+
+def _electron(qin, jm, alpha, theta, light_type):
+    """J at Jmax values jm, and its VJP onto (alpha, jmax, theta)."""
     if light_type not in (1, 2):
         raise ValueError(f"unknown light_type {light_type!r}")
-    jm = value(jmax)
     aq = value(alpha) * qin
     s = aq + jm
     if light_type == 1:
@@ -160,9 +197,9 @@ def electron_transport(qin, jmax, alpha=None, theta=None, light_type: int = 0):
             g_p = g / s
             g_s = -g * out / s
             g_aq = g_p * jm + g_s
-            return g_aq * qin, g_p * aq + g_s
+            return g_aq * qin, g_p * aq + g_s, None
 
-        return fuse(out, (alpha, jmax), vjp)
+        return out, vjp
 
     th = value(theta)
     t4 = 4.0 * th
@@ -187,7 +224,7 @@ def electron_transport(qin, jmax, alpha=None, theta=None, light_type: int = 0):
         g_th = g_tq * aqj * 4.0 + (-g * out / den) * 2.0
         return g_aq * qin, g_s + g_aqj * aq, g_th
 
-    return fuse(out, (alpha, jmax, theta), vjp)
+    return out, vjp
 
 
 def _kinetic_terms(c, gamma_star, kc, ko, o2):
@@ -208,16 +245,30 @@ def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
     constant c, gamma_star, kc and ko; kc and ko are then not read.
 
     Wp has a pole at C = (1 + 3*alpha_g) * Gamma*; below it TPU cannot
-    be limiting and Wp is reported as `big` (default +inf) so it never
-    wins the minimum. Callers embedding this in a gradient graph pass a
-    large finite sentinel instead to keep backward passes NaN-free.
+    be limiting and Wp is `big` (default +inf), which never wins the
+    minimum; a gradient graph passes a large finite sentinel instead, to
+    keep backward passes NaN-free.
 
-    Returns (rates, wp_valid): rates stacks Wc, Wj and Wp along a new
-    first axis (one Var when an operand is a Var), and wp_valid is the
-    boolean mask of points where Wp is physically defined.
+    Returns (rates, wp_valid): Wc, Wj and Wp stacked on a new first axis
+    (one Var when an operand is a Var), and the mask of defined Wp.
     """
-    cv, vv, jv, tv, gv, agv = map(value,
-                                  (c, vcmax, j, tpu, gamma_star, alpha_g))
+    s = np.stack(np.broadcast_arrays(*map(value, (vcmax, j, tpu))))
+    rates, valid, vjp = _rates(c, s, gamma_star, kc, ko, o2, alpha_g, big,
+                               terms)
+
+    def split(g):
+        g_c, g_s, *rest = vjp(g)
+        return (g_c, *g_s, *rest)
+
+    return fuse(rates, (c, vcmax, j, tpu, gamma_star, kc, ko, alpha_g),
+                split), valid
+
+
+def _rates(c, sv, gamma_star, kc, ko, o2, alpha_g, big, terms):
+    """The rates and Wp's validity at the stack values sv, and their VJP
+    onto (c, the stack, gamma_star, kc, ko, alpha_g), in place in g."""
+    cv, gv, agv = map(value, (c, gamma_star, alpha_g))
+    vv, jv, tv = sv
     c_var, g_var = isinstance(c, Var), isinstance(gamma_star, Var)
     kin_var = isinstance(kc, Var) or isinstance(ko, Var)
     if terms is None:
@@ -256,10 +307,6 @@ def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
         # 3*TPU and 1 + 3*alpha_g are recomputed where they are read
         # rather than kept alive from the forward pass
         g_wc, g_wj, g_wp = g
-        g_num = g_wc / kk
-        g_numj = g_wj / dd
-        g_live = g_wp * valid
-        g_m = g_live / denom
         g_kk = g_dd = g_c = g_gamma = g_kc = g_ko = g_ag = None
         if c_var or kin_var:
             g_kk = -g_wc * wc / kk
@@ -268,21 +315,27 @@ def limitation_rates(c, vcmax, j, tpu, gamma_star, kc, ko, o2,
             g_ko = -(g_kk * kcv) * x / kov
         if c_var or g_var:
             g_dd = -g_wj * wj / dd * 4.0
+        # in place, each row of g becomes the cotangent of its rate's
+        # numerator: Vcmax*C, J*C and 3*TPU*C
+        g_wc /= kk
+        g_wj /= dd
+        g_wp *= valid
         if c_var or g_var or isinstance(alpha_g, Var):
             # thresh's cotangent through denom = C - thresh; C's is its
             # negative
-            g_thresh = g_live * q / denom
+            g_thresh = g_wp * q / denom
             g_ag = g_thresh * gv * 3.0
+        g_wp /= denom
         if c_var:
-            g_c = (g_num * vv + g_kk + g_m * (3.0 * tv) - g_thresh
-                   + g_numj * jv + g_dd)
+            g_c = (g_wc * vv + g_kk + g_wp * (3.0 * tv) - g_thresh
+                   + g_wj * jv + g_dd)
         if g_var:
             g_gamma = g_thresh * (1.0 + 3.0 * agv) + g_dd * 2.0
-        g_num *= cv
-        g_numj *= cv
-        g_m *= cv
-        g_m *= 3.0
-        return (g_c, g_num, g_numj, g_m, g_gamma, g_kc, g_ko, g_ag)
+        # and then of Vcmax, J and TPU
+        g_wc *= cv
+        g_wj *= cv
+        g_wp *= cv
+        g_wp *= 3.0
+        return g_c, g, g_gamma, g_kc, g_ko, g_ag
 
-    return fuse(rates, (c, vcmax, j, tpu, gamma_star, kc, ko, alpha_g),
-                vjp), valid
+    return rates, valid, vjp

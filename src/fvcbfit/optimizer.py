@@ -1,16 +1,13 @@
 """First-order fitting loop for the assimilation model.
 
-Plain Adam over the flattened fitted-parameter vector, with the few
-hard projections the model needs to stay evaluable (activation energy
-below deactivation, non-negative Rd when requested, positivity floors
-on scale-like parameters). Everything else is shaped by the penalty
-terms in the loss rather than by bounds.
+Plain Adam over the flattened fitted-parameter vector, with the few hard
+projections the model needs to stay evaluable; everything else is shaped
+by the penalty terms in the loss rather than by bounds.
 
 The loop keeps the best parameters seen, not the last ones. When the
 best-seen loss stops improving, Adam restarts from the best point with a
 smaller step: the optimum can sit on a kink of a penalty term (the TPU
-transition, typically), and a fixed step circles such a kink instead of
-settling into it.
+transition, typically), which a fixed step circles instead of settling.
 """
 
 from __future__ import annotations
@@ -25,7 +22,8 @@ import numpy as np
 from . import engine
 from .data_io import Dataset
 from .errors import DivergenceError, FvcbError, NonPositiveC
-from .loss import LossBreakdown, Workspace, _evaluate, _group_sum, _Spans
+from .loss import LossBreakdown, Workspace, _evaluate, _gradient, \
+    _group_sum, _Spans
 # predict_curve is not called here, but stays a name of this module: the
 # benchmark's tracer (bench/spans.py) wraps fvcbfit.optimizer.predict_curve
 from .loss import predict_curve  # noqa: F401
@@ -124,20 +122,14 @@ class FitResult:
     """Everything a fit produces.
 
     curve_metrics, tpu_stage and tpu_gap are keyed by curve id. points
-    maps each PointPrediction field to an array over all points, curves
-    in canonical order and points within a curve in their original
-    record order; predictions is the same table as PointPredictions,
-    built on first use. The points, their limiting states, the curve
-    metrics and the TPU flags all come from the final evaluation of the
-    returned parameters. loss_history[0] is the loss at the initial
-    parameters; final_loss belongs to the returned (best seen)
-    parameters.
-
-    On a dataset of several fitting groups, loss_history, initial_loss,
-    final_loss and breakdown are sums over the groups, iterations_run is
-    the most any group ran, and groups holds one FitResult per group, in
-    ascending group order, each as fit() returns it for that group
-    alone. groups is empty for a single group.
+    maps each PointPrediction field to an array over all points (curves
+    in canonical order, each in record order); predictions is that table
+    as PointPredictions. All of these come from the final evaluation of
+    the returned, best-seen parameters, whose loss is final_loss;
+    loss_history[0] is the initial loss. On several fitting groups the
+    losses and breakdown are sums over the groups, iterations_run is the
+    most any group ran, and groups holds each group's FitResult, as fit()
+    returns it for that group alone, in group order (empty for one).
     """
 
     params: ParameterState
@@ -194,10 +186,7 @@ class _Packing:
         self.group = np.concatenate(groups)
 
     def pack(self, params: ParameterState) -> np.ndarray:
-        flat = np.empty(self.size)
-        for name in self.fields:
-            flat[self.slices[name]] = getattr(params, name)
-        return flat
+        return np.concatenate([getattr(params, name) for name in self.fields])
 
     def unpack(self, flat: np.ndarray, params: ParameterState) -> None:
         for name in self.fields:
@@ -206,37 +195,29 @@ class _Packing:
 
 def _bounds(packing: _Packing, params: ParameterState,
             config: FitConfig) -> tuple:
-    """Lower and upper bounds of each coordinate of the flat vector, -inf
-    and +inf where a field has none.
-
-    These are hard feasibility guards, applied after every step. Soft
-    preferences are the penalties' job; these only keep the model
-    evaluable.
+    """Lower and upper bounds of each coordinate of the flat vector (-inf
+    and +inf where a field has none): hard guards that keep the model
+    evaluable, applied after every step. Soft preferences are the
+    penalties' job.
     """
+    cn = params.constants
+    # above 1 the non-rectangular hyperbola's discriminant can go negative
+    limits = dict(alpha=(1e-6, np.inf), theta=(1e-6, 1.0), gm=(1e-3, np.inf),
+                  kc25=(1e-6, np.inf), ko25=(1e-6, np.inf),
+                  gamma25=(1e-6, np.inf))
+    if config.positive_rd:
+        limits["rd25"] = (0.0, np.inf)
+    if config.temp_type == 2:
+        # peaked form needs dhd > dha > 0
+        limits.update(dha_vcmax=(1e-6, cn.dhd_vcmax - 1.0),
+                      dha_jmax=(1e-6, cn.dhd_jmax - 1.0),
+                      dha_tpu=(1e-6, cn.dhd_tpu - 1.0),
+                      topt_vcmax=(200.0, 400.0), topt_jmax=(200.0, 400.0),
+                      topt_tpu=(200.0, 400.0))
     lo = np.full(packing.size, -np.inf)
     hi = np.full(packing.size, np.inf)
-
-    def bound(name, low=-np.inf, high=np.inf):
-        if name in packing.slices:
-            sl = packing.slices[name]
-            lo[sl], hi[sl] = low, high
-
-    if config.positive_rd:
-        bound("rd25", low=0.0)
-    if config.temp_type == 2:
-        cn = params.constants
-        # peaked form needs dhd > dha > 0
-        bound("dha_vcmax", low=1e-6, high=cn.dhd_vcmax - 1.0)
-        bound("dha_jmax", low=1e-6, high=cn.dhd_jmax - 1.0)
-        bound("dha_tpu", low=1e-6, high=cn.dhd_tpu - 1.0)
-        for name in ("topt_vcmax", "topt_jmax", "topt_tpu"):
-            bound(name, low=200.0, high=400.0)
-    bound("alpha", low=1e-6)
-    # above 1 the non-rectangular hyperbola's discriminant can go negative
-    bound("theta", low=1e-6, high=1.0)
-    bound("gm", low=1e-3)
-    for name in ("kc25", "ko25", "gamma25"):
-        bound(name, low=1e-6)
+    for name, sl in packing.slices.items():
+        lo[sl], hi[sl] = limits.get(name, (-np.inf, np.inf))
     return lo, hi
 
 
@@ -251,40 +232,33 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
         params0: ParameterState | None = None, callback=None) -> FitResult:
     """Fit the model to every curve of a dataset.
 
-    Each fitting group is an independent problem: groups share no
-    parameter, and each group's loss is its own MSE, divided by its own
-    point count, plus its own penalties. All groups run in one shared
-    loop, one evaluation and one backward pass per iteration, and each
-    group ends with the bits it would have when fitted alone. Best-seen
+    Each fitting group is an independent problem with its own loss (its
+    MSE over its own point count plus its own penalties). All groups run
+    in one loop, one evaluation and one backward pass per iteration, and
+    each ends with the bits it has when fitted alone: best-seen
     parameters, the stall rule, Adam's step count and step size, and
-    early stop are kept per group; a group that stops early is frozen,
+    early stop are kept per group. A group that stops early is frozen,
     and the loop ends when every group has stopped or at max_iter. A
-    light-only group beside CO2 groups carries the TPU fields it does
-    not fit alone; they get no gradient and keep their start values,
-    unless params0 starts them outside the projection bounds or, under a
-    temperature response, with a negative dha_tpu.
+    light-only group beside CO2 groups carries TPU fields that get no
+    gradient and keep their start values, unless params0 starts them
+    outside the projection bounds or, under a temperature response, with
+    a negative dha_tpu.
 
-    config.lr is the starting step. After STALL_PATIENCE iterations in
-    which a group's best-seen loss has not improved, the group returns
-    to its best-seen parameters and starts a fresh Adam state whose step
-    is the current one times STALL_DECAY; that iteration takes no step
-    for the group, and the next one steps from the best point. Restarts
-    use up no extra iterations: without early stop the loop always runs
-    max_iter.
+    config.lr is the starting step. After STALL_PATIENCE iterations
+    without a new best-seen loss, a group returns to its best point with
+    a fresh Adam state and its step times STALL_DECAY, taking no step in
+    that iteration; restarts use up no extra iterations.
 
-    After the loop the endpoint is evaluated and competes for best. A
+    The endpoint is evaluated after the loop and competes for best. A
     group whose C goes non-positive there (under fit_gm) keeps its best
-    point and its history gets no endpoint entry, as when it is fitted
-    alone; the summed history then gets none either.
+    point and gets no endpoint entry in its history, nor does the sum.
 
-    callback, if given, is invoked as callback(iteration, loss) once per
-    iteration (iteration counts from 1), with the loss summed over the
-    groups.
+    callback(iteration, loss), if given, is called once per iteration
+    (counting from 1) with the loss summed over the groups.
 
-    Raises DivergenceError when a group's loss or gradient turns
-    NaN/Inf, or its C goes non-positive inside the loop; the whole fit
-    stops, and the best parameters reached so far travel on the
-    exception.
+    Raises DivergenceError, carrying the best parameters so far, when a
+    group's loss or gradient turns NaN/Inf or its C goes non-positive
+    inside the loop.
     """
     config = config or FitConfig()
     for c in dataset.curves:
@@ -370,8 +344,7 @@ def fit(dataset: Dataset, config: FitConfig | None = None,
         if config.early_stop and not np.count_nonzero(running):
             break
         if n_live:
-            g = np.concatenate(engine.grad(total, [leaves[name]
-                                                   for name in fields]))
+            g = _gradient(ws, total, leaves)
             if n_live < k:
                 g = np.where(live[packing.group], g, 0.0)
             if not np.isfinite(g).all():

@@ -194,11 +194,9 @@ class ParameterState:
 
 
 def fitted_fields(config: FitConfig, light_only: bool) -> tuple[str, ...]:
-    """Names of the parameter fields optimized under a configuration.
-
-    TPU and everything that only feeds Wp drop out of the fitted set
-    when the dataset holds nothing but light-response curves, since Wp
-    is held non-updating there and would receive a zero gradient.
+    """Names of the parameter fields optimized under a configuration, in
+    field order. TPU and everything that only feeds Wp drop out when the
+    dataset holds only light-response curves, where Wp gets no gradient.
     """
     names = ["vcmax25", "jmax25"]
     if not light_only:

@@ -295,6 +295,14 @@ def test_grad_returns_zeros_for_unreachable_leaf():
     np.testing.assert_array_equal(gy, [0.0])
 
 
+def test_grad_sizes_an_unreached_released_leaf_from_its_shape():
+    x, y = Var(np.array([1.0])), Var(np.ones((3, 2)))
+    y.v = None  # released, as `loss._evaluate` releases its point leaves
+    gx, gy = grad(total(x, [2.0]), [x, y])
+    np.testing.assert_array_equal(gx, [2.0])
+    assert gy.shape == (3, 2) and gy.dtype == np.float64 and not gy.any()
+
+
 def test_numpy_mode_dispatch_returns_plain_arrays():
     x = np.array([0.5, 1.5])
     assert isinstance(sigmoid(x), np.ndarray)

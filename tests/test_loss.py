@@ -13,7 +13,8 @@ from fvcbfit.data_io import CurveKind, Dataset, GasExchangeRecord, ResponseCurve
 from fvcbfit.engine import Var, fuse, grad, sigmoid, value
 from fvcbfit.errors import FvcbError, LengthMismatch, NonPositiveC
 from fvcbfit.loss import (
-    Workspace, _evaluate, _group_sum, _objective, _Spans, find_jc_index,
+    Workspace, _evaluate, _gradient, _group_sum, _objective, _Spans,
+    find_jc_index,
     mse, penalty_cjp,
     penalty_intersections, penalty_nonneg, penalty_tpu_transition,
     penalty_vj_correlation, predict_curve, total_loss,
@@ -293,7 +294,7 @@ def evaluation_bytes(ws, params, cfg, fitted):
     total, breakdown, leaves, aux = _evaluate(ws, params, cfg, fitted)
     out = [value(total).tobytes(), breakdown, aux["pred"].tobytes()]
     if fitted:
-        out += [g.tobytes() for g in grad(total, [leaves[f] for f in fitted])]
+        out.append(_gradient(ws, total, leaves).tobytes())
     return out
 
 
@@ -410,7 +411,7 @@ def iteration_peak(temps, cfg, report):
 
     def iteration():
         total, _, leaves, _ = _evaluate(ws, params, cfg, fitted, report)
-        grad(total, [leaves[f] for f in fitted])
+        _gradient(ws, total, leaves)
 
     iteration()  # builds the workspace's operands
     assert ws.n_points == 20000
@@ -419,11 +420,12 @@ def iteration_peak(temps, cfg, report):
 
 # Peak memory of one taped evaluation and its gradient on 40 curves x
 # 500 points at 25 C, in arrays of one float64 per point, with the report
-# and without it as in a fit: 16.2 and 15.7 measured (23.2 and 22.7 while
-# a finished graph kept every interior value, 37.7 before the operands
-# that depend only on the data were built once per workspace), plus a
-# margin of two arrays for numpy's small allocations.
-WORKING_SET_BOUND = {True: 18.25, False: 17.75}
+# and without it as in a fit: 15.7 measured either way (16.2 and 15.7
+# with a spread node per fitted field, 23.2 and 22.7 while a finished
+# graph kept every interior value, 37.7 before the operands that depend
+# only on the data were built once per workspace), plus a margin of two
+# arrays for numpy's small allocations.
+WORKING_SET_BOUND = {True: 17.75, False: 17.75}
 
 
 def test_dense_iteration_working_set_stays_bounded():
@@ -432,11 +434,12 @@ def test_dense_iteration_working_set_stays_bounded():
 
 
 # The same at four temperatures on the heaviest paths, without the
-# report: the peaked temperature response measured 57.8 (62.8 before),
-# and with the non-rectangular light response as well 67.1 (74.1).
+# report: the peaked temperature response on the (3, n) stack measured
+# 57.7 (57.8 with one call per field, 62.8 before), and with the
+# non-rectangular light response as well 66.9 (67.1, 74.1).
 HEAVY_WORKING_SET_BOUNDS = {
-    "temp_type_2": (FitConfig(temp_type=2), 59.8),
-    "light_type_2_temp_type_2": (FitConfig(light_type=2, temp_type=2), 69.1),
+    "temp_type_2": (FitConfig(temp_type=2), 59.75),
+    "light_type_2_temp_type_2": (FitConfig(light_type=2, temp_type=2), 68.9),
 }
 
 
@@ -451,16 +454,49 @@ def test_heavy_path_working_set_stays_bounded(name):
 # iteration's graph built while the previous one is still alive, so what
 # a finished graph holds adds to one evaluation and its gradient. 31.7
 # measured (38.7 while a finished graph kept every interior value), plus
-# the two-array margin.
+# the two-array margin. The same under light_type=2, temp_type=2 at four
+# temperatures: 127.2 with a spread node per fitted field, 119.1 with
+# leaves at the points and the (3, n) stack.
 FIT_WORKING_SET_BOUND = 33.75
+HEAVY_FIT_WORKING_SET_BOUND = 129.2
 
 
 def test_consecutive_graphs_of_a_fit_stay_bounded():
-    ds = dense_dataset()
-    cfg = FitConfig(max_iter=4)
-    fit(ds, cfg)  # imports and first-use set-up
-    assert peak_point_arrays(lambda: fit(ds, cfg), 20000) \
-        < FIT_WORKING_SET_BOUND
+    for temps, cfg, bound in (
+            ((25.0,), FitConfig(max_iter=4), FIT_WORKING_SET_BOUND),
+            (FOUR_TEMPERATURES, FitConfig(light_type=2, temp_type=2,
+                                          max_iter=4),
+             HEAVY_FIT_WORKING_SET_BOUND)):
+        ds = dense_dataset(temps)
+        fit(ds, cfg)  # imports and first-use set-up
+        assert peak_point_arrays(lambda: fit(ds, cfg), 20000) < bound
+
+
+# Graph nodes of one taped evaluation, leaves and root included: 12 at the
+# default configuration and 33 under light_type=2, temp_type=2 while each
+# fitted field was spread to the points by a node of its own.
+GRAPH_NODES = {"default": (FitConfig(), 7),
+               "light_type_2_temp_type_2": (FitConfig(light_type=2,
+                                                      temp_type=2), 19)}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_NODES))
+def test_one_taped_evaluation_is_a_small_graph(name):
+    cfg, want = GRAPH_NODES[name]
+    ds = two_group_temperature_dataset(light=True)
+    params = ParameterState.defaults(
+        curve_ids=[c.curve_id for c in ds.curves],
+        group_of_curve={c.curve_id: c.fitting_group for c in ds.curves})
+    ws = Workspace(ds, params)
+    total = _evaluate(ws, params, cfg, fitted_fields(cfg, ws.light_only),
+                      report=False)[0]
+    seen, todo = set(), [total]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.parents)
+    assert len(seen) == want
 
 
 # --- the penalty gradient, added only where a term is active -------------
@@ -468,8 +504,9 @@ def test_consecutive_graphs_of_a_fit_stay_bounded():
 def gradient_bytes(ws, params, cfg):
     fitted = fitted_fields(cfg, ws.light_only)
     total, _, leaves, _ = _evaluate(ws, params, cfg, fitted)
-    return value(total).tobytes(), [g.tobytes() for g in
-                                    grad(total, [leaves[f] for f in fitted])]
+    cuts = np.cumsum([getattr(params, f).shape[0] for f in fitted])[:-1]
+    return value(total).tobytes(), [
+        g.tobytes() for g in np.split(_gradient(ws, total, leaves), cuts)]
 
 
 def test_inactive_penalties_leave_the_gradient_bytes_of_the_mse():

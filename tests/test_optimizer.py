@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 import fvcbfit.optimizer as optimizer
-from fvcbfit import engine
 from fvcbfit.data_io import Dataset
 from fvcbfit.engine import Var
 from fvcbfit.errors import DivergenceError, FvcbError, ZeroVariance
-from fvcbfit.loss import (LossBreakdown, Workspace, _evaluate, predict_curve,
-                          total_loss)
+from fvcbfit.loss import (LossBreakdown, Workspace, _evaluate, _gradient,
+                          predict_curve, total_loss)
 from fvcbfit.metrics import CurveMetrics, r_squared, rmse
 from fvcbfit.model import peaked_arrhenius
 from fvcbfit.optimizer import (
@@ -680,8 +679,7 @@ def test_iteration_makes_the_same_calls_for_any_group_count():
         try:
             total, _, leaves, _ = _evaluate(ws, params, cfg, fields,
                                             report=False)
-            g = np.concatenate(engine.grad(total, [leaves[name]
-                                                   for name in fields]))
+            g = _gradient(ws, total, leaves)
             flat = adam_step(state, flat, g)
             optimizer._project(flat, lo, hi)
         finally:
