@@ -25,18 +25,21 @@ computes them vectorized across curves and builds the gradient graph.
 Its leaves hold the fitted fields' values at the points, Vcmax25, Jmax25
 and TPU25 as one (3, n) stack through the temperature response, the
 light response and the rates, and `_gradient` sums each leaf row's
-cotangent over each column's points. The prediction, the MSE, the six
-penalties and the total are one node (`_objective`), the one consumer of
-the rates, rd and the factor 1 - Gamma*/C. Its VJP adds the penalties'
-part only at the points of active terms (every point of a curve whose
-margin term is active, the closest A_c/A_j point of one whose ordering
-term is, the last point of one whose TPU term is), in the order of the
-sums of a separate penalty node: rd and fac take the MSE's part, then
-A_c's, A_p's and A_j's, and A_j's part sums the margin, ordering and TPU
-terms in that order. A dense VJP would add only zeros at the other
-points, and every per-point cotangent ends in a leaf whose sum over a
-column starts from +0.0, so the gradients are those of the dense VJP
-bit for bit.
+cotangent over each column's points. The prediction, the MSE, the four
+penalties that read the points and the total are one node
+(`_objective`), the one consumer of the rates, rd and the factor
+1 - Gamma*/C. Its VJP adds the penalties' part only at the points of
+active terms (every point of a curve whose margin term is active, the
+closest A_c/A_j point of one whose ordering term is, the last point of
+one whose TPU term is), in the order of the sums of a separate penalty
+node: rd and fac take the MSE's part, then A_c's, A_p's and A_j's, and
+A_j's part sums the margin, ordering and TPU terms in that order. A
+dense VJP would add only zeros at the other points, and every per-point
+cotangent ends in a leaf whose sum over a column starts from +0.0, so
+the gradients are those of the dense VJP bit for bit. The correlation
+and non-negativity terms read the parameter columns only: they stay off
+the tape (`_column_penalties`), and `_gradient` adds their closed-form
+gradient to the points' sums.
 
 Per-point operands that depend only on the data and on fields that are
 not fitted are built once per Workspace (`_fixed_operands`).
@@ -181,20 +184,19 @@ class Workspace:
     order, and each group's curves, points and main-four entries are
     contiguous; the *_spans attributes (`_Spans`) hold each group's
     (start, end) over them. orig_index is each point's position in the
-    curves' own columns, concatenated in canonical order. fixed and
-    nonneg hold what `_fixed_operands` and `_nonneg_layout` built last,
-    and *_key what from. field_at[f, i] is where curve i's value of
-    FIELDS[f] sits in the concatenation of the fields' columns.
+    curves' own columns, concatenated in canonical order. fixed holds
+    what `_fixed_operands` built last, and fixed_key what from.
+    field_at[f, i] is where curve i's value of FIELDS[f] sits in the
+    concatenation of the fields' columns.
     """
 
     __slots__ = ("ci", "a", "qin", "tk", "pt_entry", "pt_group",
                  "seg_starts", "seg_lengths", "last_flat", "is_light",
                  "light_pt", "any_light", "light_only", "curve_ids",
-                 "curve_entry", "curve_group", "n_points", "co2_curves",
-                 "corr_groups", "orig_index", "n_groups", "group_n",
-                 "pt_spans", "curve_spans", "co2_spans", "entry_spans",
-                 "column_spans", "entry_group", "co2_group",
-                 "field_at", "fixed_key", "fixed", "nonneg_key", "nonneg")
+                 "curve_group", "n_points", "co2_curves", "corr_groups",
+                 "orig_index", "n_groups", "group_n", "pt_spans",
+                 "curve_spans", "co2_spans", "entry_spans", "entry_group",
+                 "co2_group", "field_at", "fixed_key", "fixed")
 
     def __init__(self, dataset: Dataset, params: ParameterState):
         by_id = {c.curve_id: c for c in dataset.curves}
@@ -220,7 +222,6 @@ class Workspace:
         self.any_light = bool(self.is_light.any())
         self.light_only = bool(self.is_light.all())
         self.curve_ids = params.curve_ids
-        self.curve_entry = params.entry_of
         self.curve_group = params.group_of
         self.n_points = int(self.ci.shape[0])
         self.co2_curves = np.flatnonzero(~self.is_light)
@@ -236,7 +237,6 @@ class Workspace:
         self.co2_spans = _Spans(np.searchsorted(self.co2_curves, cuts))
         self.entry_spans = _Spans(np.searchsorted(self.entry_group,
                                                   np.arange(k + 1)))
-        self.column_spans = _Spans(np.arange(k + 1))
         self.group_n = np.diff(pt_cuts).astype(np.float64)
         e, main = params.n_entries, len(MAIN_FOUR)
         self.field_at = np.concatenate((
@@ -250,7 +250,6 @@ class Workspace:
                 if entries.shape[0] >= MIN_CURVES_FOR_R:
                     self.corr_groups.append((gi, entries.copy()))
         self.fixed_key = self.fixed = None
-        self.nonneg_key = self.nonneg = None
 
 
 class _Spans:
@@ -283,29 +282,6 @@ def _group_sum(x, spans: _Spans):
     buf = np.zeros(spans.size)
     buf[spans.dest] = x
     return np.add.reduceat(buf, spans.starts)
-
-
-def _nonneg_layout(ws: Workspace, nonneg) -> tuple:
-    """How the penalty sums the concatenated nonneg fields (a main-four
-    field has a column per entry, a shared one per group): each (field,
-    group) pair's span, each column's group and each field's slice, kept
-    on the workspace for the last field lengths seen."""
-    key = [t.shape[0] for t in nonneg]
-    if ws.nonneg_key != key:
-        cuts, groups, slices, off = [], [], [], 0
-        for n in key:
-            spans, grp = (ws.entry_spans, ws.entry_group) \
-                if n == ws.entry_group.shape[0] \
-                else (ws.column_spans, np.arange(ws.n_groups))
-            cuts.append(off + spans.cuts[:-1])
-            groups.append(grp)
-            slices.append(slice(off, off + n))
-            off += n
-        cuts.append([off])
-        ws.nonneg_key = key
-        ws.nonneg = (_Spans(np.concatenate(cuts)), np.concatenate(groups),
-                     slices)
-    return ws.nonneg
 
 
 def _site_co2(ci, a, gm):
@@ -380,15 +356,12 @@ def _gamma_factor(gamma, c):
         -g / cv, None if q is None else g * q / cv))
 
 
-def _spread_sigmoid(raw, ws: Workspace, at_points=None):
+def _spread_sigmoid(raw, ws: Workspace, at_points):
     """sigmoid of each group's raw value, taken per group and repeated
-    over its points. at_points, if given, is the leaf of the raw values
-    at the points that takes the VJP; nothing reads its values."""
+    over its points. at_points is the leaf at the points that takes the
+    VJP, or a constant; nothing reads its values, so it holds none."""
     out = np.repeat(sigmoid(raw)[ws.curve_group], ws.seg_lengths)
-    node = fuse(out, (at_points,), lambda g: (g * out * (1.0 - out),))
-    if at_points is not None:
-        at_points.v = None
-    return node
+    return fuse(out, (at_points,), lambda g: (g * out * (1.0 - out),))
 
 
 def _relu(x):
@@ -406,27 +379,23 @@ def _segment_argmin(x, ws: Workspace) -> np.ndarray:
     return hits[np.searchsorted(hits, ws.seg_starts)]
 
 
-def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fac, rv, valid,
-               xs, ys, nonneg):
-    """The six penalty terms on forward values, and their VJP.
+def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fac, rv,
+               valid):
+    """The four penalty terms that read the points, on forward values,
+    and their VJP.
 
-    Returns (pens, add): pens is [p_cjp, p_c_gt_j, p_c_lt_j, p_j_lt_p,
-    p_corr, p_nonneg], each a vector over the groups, read from the
-    rates through A_x = W_x * fac - rd. xs and ys are the Vcmax25 and
-    Jmax25 columns (None without the correlation term); nonneg holds the
-    columns of the fields whose negative part is penalized.
-    add(g, g_rates, g_fac, g_rd) adds the penalties' part of cotangent g
-    to the rates, fac (None when constant) and rd cotangents at the
-    points of active terms only, and returns those of xs, ys and each
-    nonneg field.
+    Returns (pens, add): pens is [p_cjp, p_c_gt_j, p_c_lt_j, p_j_lt_p],
+    each a vector over the groups, read from the rates through
+    A_x = W_x * fac - rd. add(g, g_rates, g_fac, g_rd) adds the
+    penalties' part of cotangent g to the rates, fac (None when
+    constant) and rd cotangents at the points of active terms only.
     """
     fv = value(fac)
     aj = wj * fv - rv
     ac = wc * fv - rv
     d = ac - aj
     co2 = ws.co2_curves
-    p_cjp = p_tpu = p_nn = np.zeros(ws.n_groups)
-    p_corr = np.zeros(ws.n_groups)
+    p_cjp = p_tpu = np.zeros(ws.n_groups)
     # closest points, last points and their terms, where there are any
     jc = last = co2
     z_cjp = z_tpu = np.zeros(0)
@@ -458,33 +427,7 @@ def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fac, rv, valid,
         z_tpu = a_p(last) - aj[last]
         p_tpu = _group_sum(_relu(z_tpu) * ok, ws.co2_spans)
 
-    corr = []
-    if xs is not None:
-        for gi, entries in ws.corr_groups:
-            x, y = xs[entries], ys[entries]
-            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-                continue  # undefined correlation; penalty skipped
-            m = float(entries.shape[0])
-            xc = x - x.sum() / m
-            yc = y - y.sum() / m
-            sxx, syy = (xc * xc).sum(), (yc * yc).sum()
-            den = np.sqrt(sxx * syy)
-            r = (xc * yc).sum() / den
-            # one correlation group per fitting group
-            p_corr[gi] = _relu(0.7 - r)
-            corr.append((gi, entries, m, xc, yc, sxx, syy, den, r))
-
-    if nonneg:
-        # every field at once: one (field, group) sum per pair, the rows
-        # added in field order; 0 + row_0 is row_0 exactly, as each row
-        # is >= +0
-        nn_spans, nn_group, nn_slices = _nonneg_layout(ws, nonneg)
-        nn = 0.0 - np.concatenate(nonneg)
-        nn_on = nn > 0.0
-        rows = _group_sum(np.where(nn_on, nn, 0.0), nn_spans)
-        p_nn = np.add.accumulate(rows.reshape(len(nonneg), -1))[-1]
-
-    pens = np.array([p_cjp, p_cgj, p_clj, p_tpu, p_corr, p_nn])
+    pens = np.array([p_cjp, p_cgj, p_clj, p_tpu])
     if not isinstance(fac, Var):
         wc = wj = wp = None  # read by add only for fac
 
@@ -544,36 +487,78 @@ def _penalties(ws: Workspace, config: FitConfig, wc, wj, wp, fac, rv, valid,
                 g_fac[pts] = (g_fac[pts] + g_ac * wc[pts] + g_ap * wp[pts]
                               + g_aj * wj[pts])
             g_rd[pts] = g_rd[pts] - g_ac - g_ap - g_aj  # A = W * fac - rd
-        g_x = g_y = None
-        if corr:
-            g_x, g_y = np.zeros(xs.shape[0]), np.zeros(ys.shape[0])
-        for gi, entries, m, xc, yc, sxx, syy, den, r in corr:
-            g_r = -(g[gi] * (0.7 - r > 0.0))
-            g_num = g_r / den
-            g_prod = 0.5 * (-g_r * r / den) / den if den > 0.0 else 0.0
-            for out, a, b, g_aa in ((g_x, xc, yc, g_prod * syy),
-                                    (g_y, yc, xc, g_prod * sxx)):
-                g_a = g_num * b + g_aa * a + g_aa * a
-                out[entries] = g_a + (-g_a).sum() / m
-        if not nonneg:
-            return [g_x, g_y]
-        g_nn = -(g[nn_group] * nn_on)
-        return [g_x, g_y] + [g_nn[sl] for sl in nn_slices]
 
     return pens, add
 
 
+def _column_penalties(ws: Workspace, params: ParameterState,
+                      config: FitConfig, fitted) -> tuple:
+    """The two penalty terms that read the parameter columns only, and
+    their gradient, off the tape.
+
+    Returns (p, grads): p is [p_corr, p_nonneg], each a vector over the
+    groups: max(0, 0.7 - r) of the per-curve Vcmax25/Jmax25 of each
+    group eligible for it (under r_penalty), and max(0, -k) summed over
+    the columns of rd25 (under positive_rd), the DHA fields, alpha and
+    theta, where the configuration fits them. grads maps each field they
+    read to the gradient of their sum over the groups, per column: the
+    VJP of the groups' summed total, whose cotangent is 1.0.
+    """
+    p, grads = np.zeros((2, ws.n_groups)), {}
+    if config.r_penalty and ws.corr_groups:
+        xs, ys = params.vcmax25, params.jmax25
+        g_xy = np.zeros((2, xs.shape[0]))
+        for gi, entries in ws.corr_groups:
+            x, y = xs[entries], ys[entries]
+            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                continue  # undefined correlation; penalty skipped
+            m = float(entries.shape[0])
+            xc = x - x.sum() / m
+            yc = y - y.sum() / m
+            sxx, syy = (xc * xc).sum(), (yc * yc).sum()
+            den = np.sqrt(sxx * syy)
+            r = (xc * yc).sum() / den
+            p[0, gi] = _relu(0.7 - r)
+            g_r = -1.0 * (0.7 - r > 0.0)
+            g_num = g_r / den
+            g_prod = 0.5 * (-g_r * r / den) / den if den > 0.0 else 0.0
+            for out, a, b, g_aa in ((g_xy[0], xc, yc, g_prod * syy),
+                                    (g_xy[1], yc, xc, g_prod * sxx)):
+                g_a = g_num * b + g_aa * a + g_aa * a
+                out[entries] = g_a + (-g_a).sum() / m
+        grads.update(zip(RATES[:2], g_xy))
+    # only parameters the configuration actually fits are penalized
+    eligible = set(fitted) if fitted \
+        else set(fitted_fields(config, ws.light_only))
+    rows = []
+    if config.positive_rd and "rd25" in eligible:
+        nn = 0.0 - params.rd25
+        rows.append(_group_sum(_relu(nn), ws.entry_spans))
+        grads["rd25"] = -1.0 * (nn > 0.0)
+    shared = [name for name in DHA + ("alpha", "theta") if name in eligible]
+    if shared:
+        # a shared field's column is its group's row: 0.0 + x is x for
+        # x >= +0
+        nn = 0.0 - np.array([getattr(params, name) for name in shared])
+        rows.extend(_relu(nn))
+        grads.update(zip(shared, -1.0 * (nn > 0.0)))
+    if rows:
+        p[1] = np.add.accumulate(rows)[-1]  # the rows in field order
+    return p, grads
+
+
 def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
-               vcmax25=None, jmax25=None, nonneg=(), state=False):
+               cols=None, state=False):
     """The MSE of A = min(Wc, Wj, Wp) * fac - rd plus the penalties.
 
-    One node, the one consumer of rates, fac and rd; returns (total,
+    One node over rates, fac and rd, their one consumer; returns (total,
     terms, pred), total and each term (the MSE, each group's over its
-    own point count, and the six penalties of `_penalties`, zero without
-    config.penalties) with one entry per group. vcmax25 and jmax25 feed
-    the correlation term only. On light-response curves Wp takes part in
-    the minimum but gets no gradient. With state a fourth value follows:
-    the limiting rate at each point, "c", "j" or "p", ties to "c", "j".
+    own point count, the four penalties of `_penalties`, zero without
+    config.penalties, and the two of cols, [p_corr, p_nonneg] from
+    `_column_penalties`, zero without cols) with one entry per group. On
+    light-response curves Wp takes part in the minimum but gets no
+    gradient. With state a fourth value follows: the limiting rate at
+    each point, "c", "j" or "p", ties to "c", "j".
     """
     wc, wj, wp = value(rates)
     fv, rv = value(fac), value(rd)
@@ -581,10 +566,9 @@ def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
     # MSE's are made
     p, add = np.zeros((6, ws.n_groups)), None
     if config.penalties:
-        p, add = _penalties(ws, config, wc, wj, wp, fac, rv, valid,
-                            None if vcmax25 is None else value(vcmax25),
-                            None if jmax25 is None else value(jmax25),
-                            [value(t) for t in nonneg])
+        p[:4], add = _penalties(ws, config, wc, wj, wp, fac, rv, valid)
+    if cols is not None:
+        p[4:] = cols
     take_c = wc <= wj
     wcj = np.where(take_c, wc, wj)
     take_cj = wcj <= wp
@@ -613,13 +597,12 @@ def _objective(ws: Workspace, config: FitConfig, rates, valid, fac, rd,
             g_wp *= ~ws.light_pt
         g_fac = g_pred * w if isinstance(fac, Var) else None
         np.negative(g_pred, out=g_pred)  # pred = w * fac - rd
-        if add is None:
-            return g_rates, g_fac, g_pred
-        return [g_rates, g_fac, g_pred] + add(g, g_rates, g_fac, g_pred)
+        if add is not None:
+            add(g, g_rates, g_fac, g_pred)
+        return g_rates, g_fac, g_pred
 
     st = (np.where(take_cj, np.where(take_c, "c", "j"), "p"),) if state else ()
-    return (fuse(total, [rates, fac, rd, vcmax25, jmax25] + list(nonneg),
-                 vjp), (mse, *p), pred, *st)
+    return fuse(total, (rates, fac, rd), vjp), (mse, *p), pred, *st
 
 
 def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
@@ -627,22 +610,22 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
     """Loss of a workspace; the one evaluator for values and gradients.
 
     The fields in `fitted` are read through autodiff leaves, and the
-    total is then a Var: one leaf of values at the points per field, or
-    per stack of three (RATES, DHA, TOPT), that holds a fitted field, and
-    one leaf of columns per fitted field the penalties read. Once the
-    evaluation is complete, the graph's interior values (`engine.release`)
-    and the per-point leaves' values are let go.
+    total is then a Var: one leaf at the points per field, or per stack
+    of three (RATES, DHA, TOPT), that holds a fitted field. The column
+    penalties and their gradient come from `_column_penalties`, off the
+    tape. Once the evaluation is complete, the graph's interior values
+    (`engine.release`) and the leaves' values are let go.
 
     Returns (total, LossBreakdown, leaves, aux); total has one entry per
-    group, and leaves, (fitted, [(per-point leaf, its fields)], {field:
-    per-column leaf}), is what `_gradient` reads. aux holds, in canonical
-    order, the last point's A_p - A_j gap per curve and its validity, the
-    prediction and limiting state at each point, and the terms before
-    they are summed over groups; a fit's report comes from it. With
-    report off the breakdown and aux are None.
+    group, and leaves, (fitted, [(leaf, its fields)], {field: column
+    penalties' gradient}), is what `_gradient` reads. aux holds, in
+    canonical order, the last point's A_p - A_j gap per curve and its
+    validity, the prediction and limiting state at each point, and the
+    terms before they are summed over groups; a fit's report comes from
+    it. With report off the breakdown and aux are None.
     """
     cn = params.constants
-    points, columns = [], {}
+    points = []
     values = np.concatenate([getattr(params, name) for name in FIELDS])
 
     def spread(*names):
@@ -651,17 +634,13 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
         f = FIELDS.index(names[0])
         at = ws.field_at[f:f + len(names)] if len(names) > 1 \
             else ws.field_at[f]
-        x = np.repeat(values[at], ws.seg_lengths, axis=-1)
+        return leaf(np.repeat(values[at], ws.seg_lengths, axis=-1), names)
+
+    def leaf(x, names):
+        # x, as a leaf at the points if it holds a fitted field
         if any(n in fitted for n in names):
             x = Var(x)
             points.append((x, names))
-        return x
-
-    def column(name):
-        # a field's columns as the penalties read them
-        x = getattr(params, name)
-        if name in fitted:
-            x = columns[name] = Var(x)
         return x
 
     fx = _fixed_operands(ws, params, config, fitted)
@@ -671,8 +650,9 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
         kc, ko, gamma = (spread(name) for name in KINETICS)
     else:
         kc, ko, gamma = fx["kin"]
-    ag = _spread_sigmoid(params.alpha_g_raw, ws, spread("alpha_g_raw")
-                         if "alpha_g_raw" in fitted else None)
+    # alpha_g_raw's leaf only ends the sigmoid's VJP: a shape, no values
+    ag = _spread_sigmoid(params.alpha_g_raw, ws, leaf(
+        np.broadcast_to(0.0, ws.n_points), ("alpha_g_raw",)))
 
     c = ws.ci
     if config.fit_gm:
@@ -705,17 +685,10 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
     rates = fuse(rates, (c, s, gamma, kc, ko, ag), vjp)
     fac = _gamma_factor(gamma, c) if fx["fac"] is None else fx["fac"]
 
-    nonneg, corr = [], False
-    if config.penalties:
-        # only parameters the configuration actually fits are penalized
-        eligible = set(fitted) if fitted \
-            else set(fitted_fields(config, ws.light_only))
-        nonneg = [column(name) for name in ("rd25",) * config.positive_rd
-                  + DHA + ("alpha", "theta") if name in eligible]
-        corr = config.r_penalty and ws.corr_groups
-    total, terms, pred, *state = _objective(
-        ws, config, rates, valid, fac, rd, column("vcmax25") if corr else None,
-        column("jmax25") if corr else None, nonneg, state=report)
+    cols, direct = _column_penalties(ws, params, config, fitted) \
+        if config.penalties else (None, {})
+    total, terms, pred, *state = _objective(ws, config, rates, valid, fac,
+                                            rd, cols, state=report)
     if report:
         lf = ws.last_flat
         w_last = value(rates)[:, lf] * value(fac)[lf] - value(rd)[lf]
@@ -727,9 +700,9 @@ def _evaluate(ws: Workspace, params: ParameterState, config: FitConfig,
         }
     if isinstance(total, Var):
         release(total)
-        for leaf, _ in points:
-            leaf.v = None
-    leaves = (fitted, points, columns)
+        for x, _ in points:
+            x.v = None
+    leaves = (fitted, points, direct)
     if not report:
         return total, None, leaves, None
     return total, _breakdown(aux["terms"]), leaves, aux
@@ -739,12 +712,11 @@ def _gradient(ws: Workspace, total: Var, leaves) -> np.ndarray:
     """The gradient of an `_evaluate` total, summed over its groups: the
     fitted fields in order, one coordinate per main-four entry or group.
     A coordinate is its field's per-point cotangent summed over its
-    points in order, plus its per-column leaf's cotangent. These two
-    terms are all it sums, so the order of their sum keeps its bits; a
-    field the configuration does not read gets zeros."""
-    fitted, points, columns = leaves
-    cots = engine.grad(total, [x for x, _ in points] + list(columns.values()))
-    direct = dict(zip(columns, cots[len(points):]))
+    points in order, plus the column penalties' gradient. These two terms
+    are all it sums, so the order of their sum keeps its bits; a field
+    the configuration does not read gets zeros."""
+    fitted, points, direct = leaves
+    cots = engine.grad(total, [x for x, _ in points])
     rows = {}
     for (_, names), g in zip(points, cots):
         rows.update(zip(names, g if len(names) > 1 else [g]))

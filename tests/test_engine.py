@@ -7,10 +7,11 @@ import pytest
 
 from fvcbfit.data_io import CurveKind, Dataset, GasExchangeRecord, ResponseCurve
 from fvcbfit.engine import Var, fuse, gather, grad, release, sigmoid, value
-from fvcbfit.loss import Workspace, _gamma_factor, _objective, _site_co2
+from fvcbfit.loss import DHA, Workspace, _column_penalties, _gamma_factor, \
+    _objective, _site_co2
 from fvcbfit.model import arrhenius, electron_transport, limitation_rates, \
     peaked_arrhenius
-from fvcbfit.params import FitConfig, ParameterState
+from fvcbfit.params import FitConfig, ParameterState, fitted_fields
 
 
 def fd_grad(f, x, h=1e-6):
@@ -46,21 +47,33 @@ def check_against_fd(build, x0, rtol=1e-6, atol=1e-9):
     np.testing.assert_allclose(ga, gn, rtol=rtol, atol=atol)
 
 
-def workspace(a_curves, light=()):
-    """Workspace over curves with Ci = 100, 200, ... and the given A."""
+def state(groups, onefit=False):
+    """Default parameters of one curve per entry of groups, curve i in
+    fitting group groups[i]."""
+    return ParameterState.defaults(curve_ids=tuple(range(len(groups))),
+                                   group_of_curve=dict(enumerate(groups)),
+                                   onefit=onefit)
+
+
+def workspace(a_curves, light=(), groups=None, onefit=False):
+    """Workspace over curves with Ci = 100, 200, ... and the given A, in
+    fitting group 0 or, given groups, curve i in groups[i]."""
+    groups = groups or (0,) * len(a_curves)
     curves = []
     for cid, a in enumerate(a_curves):
-        recs = tuple(GasExchangeRecord(curve_id=cid, fitting_group=0,
+        recs = tuple(GasExchangeRecord(curve_id=cid, fitting_group=groups[cid],
                                        ci=100.0 * (k + 1), a=float(ak),
                                        qin=2000.0, tleaf_c=25.0)
                      for k, ak in enumerate(a))
         kind = CurveKind.LightResponse if cid in light \
             else CurveKind.CO2Response
         curves.append(ResponseCurve.from_records(
-            curve_id=cid, fitting_group=0, records=recs, kind=kind))
-    ds = Dataset(curves=tuple(curves), groups={0: list(range(len(curves)))})
-    ids = tuple(range(len(curves)))
-    return Workspace(ds, ParameterState.defaults(curve_ids=ids))
+            curve_id=cid, fitting_group=groups[cid], records=recs, kind=kind))
+    members = {}
+    for cid, grp in enumerate(groups):
+        members.setdefault(grp, []).append(cid)
+    ds = Dataset(curves=tuple(curves), groups=members)
+    return Workspace(ds, state(groups, onefit))
 
 
 RNG = np.random.default_rng(7)
@@ -115,10 +128,9 @@ def test_minimum_maximum_adjoints():
 
 def test_penalty_block_adjoint_matches_finite_differences():
     # the objective node over seven curves of four points, with every
-    # penalty term active:
+    # penalty term that reads the points active:
     # A_c and A_j cross within each curve, A_p dips below both at the
-    # closest point and rises above A_j at the last one, the Vcmax/Jmax
-    # correlation is below 0.7, and one fitted scalar is negative
+    # closest point and rises above A_j at the last one
     ws = workspace([[10.0] * 4] * 7)
     base = RNG.uniform(15.0, 30.0, size=28)
     rates0 = np.stack([base + RNG.uniform(-3.0, 3.0, size=28),
@@ -127,19 +139,17 @@ def test_penalty_block_adjoint_matches_finite_differences():
     rates0[2, 3::4] += 20.0
     fac0 = RNG.uniform(0.8, 1.0, size=28)
     rd0 = RNG.uniform(0.5, 2.0, size=28)
-    v0 = RNG.uniform(80.0, 120.0, size=7)
-    j0 = 320.0 - v0 + RNG.uniform(-5.0, 5.0, size=7)
-    k0 = np.array([-0.4, 0.3, 1.2])
     valid = np.ones(28, dtype=bool)
     valid[0] = False
-    cfg = FitConfig(r_penalty=True)
-    args = [rates0, fac0, rd0, v0, j0, k0]
+    cfg = FitConfig()
+    args = [rates0, fac0, rd0]
 
-    def build(rates, fac, rd, v, j, k):
-        return _objective(ws, cfg, rates, valid, fac, rd, v, j, [k])[0]
+    def build(rates, fac, rd):
+        return _objective(ws, cfg, rates, valid, fac, rd)[0]
 
-    terms = _objective(ws, cfg, rates0, valid, fac0, rd0, v0, j0, [k0])[1]
-    assert np.all(np.array(terms) > 0.0)
+    terms = _objective(ws, cfg, rates0, valid, fac0, rd0)[1]
+    assert np.all(np.array(terms[:5]) > 0.0)
+    assert not np.any(terms[5:])  # the column terms come from elsewhere
     leaves = [Var(x) for x in args]
     for k, ga in enumerate(grad(build(*leaves), leaves)):
         def f(x, k=k):
@@ -148,6 +158,41 @@ def test_penalty_block_adjoint_matches_finite_differences():
             return float(value(build(*call)).sum())
         np.testing.assert_allclose(ga, fd_grad(f, args[k]), rtol=1e-6,
                                    atol=1e-8, err_msg=f"argument {k}")
+
+
+@pytest.mark.parametrize("groups, onefit", [((0,) * 7, False),
+                                            ((0,) * 4 + (1,) * 3, True)])
+def test_column_penalty_gradient_matches_finite_differences(groups, onefit):
+    # the correlation and non-negativity terms, off the tape: on one group
+    # of seven curves the Vcmax/Jmax correlation is below 0.7; under
+    # onefit each of two groups has one main-four column, as a shared
+    # field does; some columns of rd25 and of the shared fields are
+    # negative
+    ws = workspace([[10.0] * 4] * len(groups), groups=groups, onefit=onefit)
+    params = state(groups, onefit)
+    n = params.vcmax25.shape[0]
+    params.vcmax25[:] = RNG.uniform(80.0, 120.0, size=n)
+    params.jmax25[:] = 320.0 - params.vcmax25 + RNG.uniform(-5.0, 5.0, size=n)
+    params.rd25[:] = np.resize([-0.4, 0.3, -1.2], n)
+    params.dha_vcmax[0] = -0.5
+    params.dha_tpu[-1] = -2.0
+    params.alpha[:] = np.resize([-0.1, 0.2], len(params.alpha))
+    params.theta[-1] = -0.3
+    cfg = FitConfig(light_type=2, temp_type=1, r_penalty=True)
+    fitted = fitted_fields(cfg, ws.light_only)
+    p, grads = _column_penalties(ws, params, cfg, fitted)
+    assert not p[0].any() if onefit else np.all(p[0] > 0.0)
+    assert np.all(p[1] > 0.0)
+    for name in ("vcmax25", "jmax25", "rd25") + DHA + ("alpha", "theta"):
+        x0 = getattr(params, name)
+
+        def f(x, name=name):
+            q = params.copy()
+            setattr(q, name, x)
+            return float(_column_penalties(ws, q, cfg, fitted)[0].sum())
+        np.testing.assert_allclose(grads.get(name, np.zeros_like(x0)),
+                                   fd_grad(f, x0), rtol=1e-6, atol=1e-8,
+                                   err_msg=name)
 
 
 def test_minimum_tie_routes_gradient_to_first_argument():
@@ -184,13 +229,12 @@ def test_maximum_tie_routes_gradient_to_first_argument():
 
 def test_relu_subgradient_at_zero_is_zero():
     # the non-negativity penalty max(0, -k) at k = 0
-    ws = workspace([[10.0, 10.0, 10.0]])
-    k = Var(np.array([-1.0, 0.0, 2.0]))
-    root = _objective(ws, FitConfig(), np.full((3, 3), 10.0),
-                      np.ones(3, dtype=bool), np.ones(3), np.zeros(3),
-                      None, None, [k])[0]
-    (g,) = grad(root, [k])
-    np.testing.assert_array_equal(g, [-1.0, 0.0, 0.0])
+    ws = workspace([[10.0, 10.0, 10.0]] * 3)
+    params = state((0, 0, 0))
+    params.rd25[:] = [-1.0, 0.0, 2.0]
+    p, grads = _column_penalties(ws, params, FitConfig(), ("rd25",))
+    np.testing.assert_array_equal(p[1], [1.0])
+    np.testing.assert_array_equal(grads["rd25"], [-1.0, 0.0, 0.0])
 
 
 def test_sqrt_subgradient_at_zero_is_zero():
@@ -367,8 +411,7 @@ def objective_graph(theta):
     rates, valid = limitation_rates(c, vmax, jmax, tpu, gamma, 404.9,
                                     278.4, 210.0, 0.1, big=1e9)
     fac = _gamma_factor(gamma, c)
-    return _objective(ws, FitConfig(), rates, valid, fac, rd, None, None,
-                      [rd])[0]
+    return _objective(ws, FitConfig(), rates, valid, fac, rd)[0]
 
 
 THETA0 = np.array([100.0, 200.0, 11.0, 1.5])

@@ -474,10 +474,11 @@ def test_consecutive_graphs_of_a_fit_stay_bounded():
 
 # Graph nodes of one taped evaluation, leaves and root included: 12 at the
 # default configuration and 33 under light_type=2, temp_type=2 while each
-# fitted field was spread to the points by a node of its own.
-GRAPH_NODES = {"default": (FitConfig(), 7),
+# fitted field was spread to the points by a node of its own, 7 and 19
+# while the column penalties read leaves of the columns.
+GRAPH_NODES = {"default": (FitConfig(), 6),
                "light_type_2_temp_type_2": (FitConfig(light_type=2,
-                                                      temp_type=2), 19)}
+                                                      temp_type=2), 13)}
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_NODES))
